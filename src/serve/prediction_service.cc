@@ -198,12 +198,13 @@ void PredictionService::ServeBatch(int slot, std::vector<Entry> batch) {
   }
   if (live.empty()) return;
 
-  auto fail_all = [this, slot, &live](const Status& status) {
+  auto fail_all = [this, &slot](std::vector<Entry>* entries,
+                                const Status& status) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.failed += static_cast<int64_t>(live.size());
+      stats_.failed += static_cast<int64_t>(entries->size());
     }
-    for (auto& entry : live) {
+    for (auto& entry : *entries) {
       PredictResponse response;
       response.kind = PredictResponse::Kind::kFailed;
       response.status = status;
@@ -215,8 +216,33 @@ void PredictionService::ServeBatch(int slot, std::vector<Entry> batch) {
   // The engine turns the slot into the full prediction rows for every
   // station it serves; one execution serves the whole micro-batch.
   Result<EngineOutput> executed = engine_->Execute(slot);
+  // The worker resolved "latest" from the frontier before executing. If
+  // ingest has moved the frontier since, a precondition failure means the
+  // pushes overwrote history this slot needs: the latest requests move to
+  // the new frontier, while requests that named this slot keep the typed
+  // error. Each retry needs the frontier to move again, so it is bounded.
+  auto frontier_outran = [&] {
+    return !executed.ok() &&
+           executed.status().code() == StatusCode::kFailedPrecondition &&
+           engine_->next_slot() > slot;
+  };
+  for (int retry = 0; retry < kMaxFrontierRetries && frontier_outran();
+       ++retry) {
+    std::vector<Entry> latest;
+    std::vector<Entry> pinned;
+    for (auto& entry : live) {
+      (entry.request.slot == PredictRequest::kLatestSlot ? latest : pinned)
+          .push_back(std::move(entry));
+    }
+    fail_all(&pinned, executed.status());
+    live = std::move(latest);
+    if (live.empty()) return;
+    STGNN_COUNTER_INC("serve.frontier_retries");
+    slot = engine_->next_slot();
+    executed = engine_->Execute(slot);
+  }
   if (!executed.ok()) {
-    fail_all(executed.status());
+    fail_all(&live, executed.status());
     return;
   }
   const Tensor& full = (*executed).rows;

@@ -166,6 +166,10 @@ class PredictionService {
     int64_t submit_ns = 0;
   };
 
+  // Re-resolutions of a batch's "latest" requests when ingest outruns the
+  // frontier they resolved to (see ServeBatch).
+  static constexpr int kMaxFrontierRetries = 8;
+
   void WorkerLoop();
   void ServeBatch(int slot, std::vector<Entry> batch);
   // Fills the bookkeeping fields and fulfils the promise.

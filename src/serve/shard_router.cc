@@ -19,6 +19,20 @@ bool IsVersionRace(const Status& status) {
          status.message().find("no shard context") != std::string::npos;
 }
 
+// A "latest" request resolved `slot` from the ingest frontier. If ingest
+// has since moved the frontier past it, a precondition failure from the
+// context build means the pushes overwrote history that slot needed: the
+// request re-resolves to the new frontier instead of failing. An explicit
+// slot keeps its typed error — it asked for that slot, not for "latest".
+// (Only the build reads the rings; shard sub-requests replay a built
+// context, and a missing one is a version race.)
+bool FrontierOutran(const PredictRequest& request, int slot,
+                    const Status& status, const ShardFleet& fleet) {
+  return request.slot == PredictRequest::kLatestSlot &&
+         status.code() == StatusCode::kFailedPrecondition &&
+         fleet.next_slot() > slot;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -227,6 +241,12 @@ ShardRouter::ShardRouter(ShardFleet* fleet, RouterOptions options)
 
 ShardRouter::~ShardRouter() { Stop(); }
 
+void ShardRouter::SetResolvedHookForTest(std::function<void(int)> hook) {
+  std::lock_guard<std::mutex> lock(mu_);
+  STGNN_CHECK(!started_) << "set the resolved-slot hook before Start()";
+  resolved_hook_for_test_ = std::move(hook);
+}
+
 void ShardRouter::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_ || stop_) return;
@@ -364,11 +384,17 @@ PredictResponse ShardRouter::Serve(const PredictRequest& request) {
     const int slot = request.slot == PredictRequest::kLatestSlot
                          ? fleet_->next_slot()
                          : request.slot;
+    if (resolved_hook_for_test_) resolved_hook_for_test_(slot);
 
     {
       STGNN_TRACE_SCOPE("Router.Halo");
       Status ensured = fleet_->EnsureContext(slot, version);
       if (!ensured.ok()) {
+        if (FrontierOutran(request, slot, ensured, *fleet_)) {
+          last_race = std::move(ensured);
+          STGNN_COUNTER_INC("serve.shard.frontier_retries");
+          continue;
+        }
         if (!IsVersionRace(ensured)) return fail(std::move(ensured));
         last_race = std::move(ensured);
         {

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -156,6 +157,11 @@ class ShardRouter {
   const RouterOptions& options() const { return options_; }
   const LatencyHistogram& latency_histogram() const { return latency_; }
 
+  // Test seam: runs on the serving thread each time a request's slot is
+  // resolved, before its contexts are ensured, so a test can land ingest
+  // exactly inside that window. Set before Start().
+  void SetResolvedHookForTest(std::function<void(int slot)> hook);
+
  private:
   struct Entry {
     PredictRequest request;
@@ -178,6 +184,7 @@ class ShardRouter {
   bool started_ = false;
   std::vector<std::thread> workers_;
   RouterStats stats_;
+  std::function<void(int)> resolved_hook_for_test_;
 
   LatencyHistogram latency_;
 };

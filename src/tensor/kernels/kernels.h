@@ -5,10 +5,10 @@
 
 #include "common/cpuid.h"
 
-// Runtime-dispatched microkernels for the three dominant compute loops
-// (packed MatMul panels, row-parallel SpMM, fused Adam) plus the int8
-// inference GEMM. One KernelTable per ISA; the active table is selected at
-// runtime from common::ActiveIsa() (STGNN_ISA overridable).
+// Runtime-dispatched microkernels for the dominant compute loops (k-blocked
+// packed MatMul, the n == 1 matvec, row-parallel SpMM, fused Adam) plus the
+// int8 inference GEMM. One KernelTable per ISA; the active table is
+// selected at runtime from common::ActiveIsa() (STGNN_ISA overridable).
 //
 // Parity contract — every fp32 variant is bit-identical to the scalar
 // reference:
@@ -19,9 +19,13 @@
 //     vfmadd lanes) and is compiled with -ffp-contract=off so the compiler
 //     cannot reassociate it.
 //   * Vectorisation is across independent output elements (columns of the
-//     output row, elements of the parameter vector), never across a
-//     reduction, so lane grouping cannot change any element's operation
-//     sequence.
+//     output row, rows of a matvec, elements of the parameter vector),
+//     never across a reduction, so lane grouping cannot change any
+//     element's operation sequence.
+//   * Blocking MatMul over k splits each element's chain at k-block
+//     boundaries: the partial sum is stored to out and the next block's
+//     fmas continue from it. A float round-trips through memory unchanged,
+//     so the chain, and every rounding in it, is the full-k one.
 //   * Division and square root are IEEE correctly rounded in both scalar
 //     and vector forms (vdivps / vsqrtps), so the fused Adam update is
 //     exact too.
@@ -35,12 +39,20 @@
 
 namespace stgnn::tensor::kernels {
 
-// MatMul tiling: the microkernel computes a kMmRowTile x kMmPanel output
-// tile from kMmPanel-wide packed B panels. Fixed across ISAs — the packed
-// layout is produced by the (shared) caller, and 64 floats is four AVX-512
-// lanes / eight AVX2 lanes, so every variant tiles it evenly.
+// MatMul blocking: the microkernel computes a kMmRowTile x kMmPanel output
+// tile from one kMmDepth-deep k-block of A's rows and of a kMmPanel-wide
+// packed B panel. Fixed across ISAs — the packed B layout is produced by
+// the (shared) caller, and 64 floats is four AVX-512 lanes / eight AVX2
+// lanes, so every variant tiles a panel evenly. A kMmDepth x kMmPanel
+// block of B is 32 KB, so it stays in L1 while every row tile of a chunk
+// streams past it.
 inline constexpr int kMmRowTile = 4;
 inline constexpr int kMmPanel = 64;
+inline constexpr int kMmDepth = 128;
+// Minimum rows per MatMul chunk: one B block fetched into L1 then feeds 16
+// row tiles. With one tile per fetch, a B larger than L2 (the [2048, 512]
+// W10 head merge) streams from L3 for every tile.
+inline constexpr int kMmRowBlock = 64;
 
 // int8 GEMM row tile: the vector variants block 4 output rows so every
 // packed-B load is shared 4 ways. Callers must hand qgemm_rows chunks of
@@ -56,12 +68,21 @@ struct KernelTable {
   void (*matmul_small)(const float* a, const float* b, float* out, int m,
                        int k, int n);
 
-  // Rows [row_begin, row_end) of out against one packed panel of B (width
-  // `width` columns starting at j0, kMmPanel stride, zero-padded). Stores
-  // full-k accumulators, overwriting out exactly once.
-  void (*matmul_panel_rows)(const float* a, const float* panel, float* out,
-                            int64_t row_begin, int64_t row_end, int k, int n,
-                            int j0, int width);
+  // One k-block of the blocked GEMM: out[0, rows) x [0, width) (row stride
+  // ldo) against a[0, rows) x [0, kc) (row stride lda) and panel, the
+  // matching [kc, kMmPanel] block of one packed B panel (columns past
+  // `width` zero); kc <= kMmDepth. accumulate=false starts every element's
+  // fma chain at 0 (the first k-block); true continues it from the float
+  // already in out. A stored partial sum reads back as the same float, so
+  // the blocked product is bitwise the full-k ascending chain.
+  void (*matmul_kblock)(const float* a, int lda, const float* panel,
+                        float* out, int rows, int kc, int ldo, int width,
+                        bool accumulate);
+
+  // out[i] = sum_p a[i][p] * x[p] for rows [row_begin, row_end) of a
+  // [*, k]: the n == 1 MatMul, one ascending fma chain per row from 0.
+  void (*matvec_rows)(const float* a, const float* x, float* out,
+                      int64_t row_begin, int64_t row_end, int k);
 
   // CSR rows [row_begin, row_end) of out = A·X, X dense [*, f]; out is
   // zeroed. Terms accumulate in ascending stored-entry order.
@@ -96,20 +117,25 @@ struct KernelTable {
 
   // Below this m*k*n, MatMul takes the small path (no packing).
   int64_t mm_small_flops;
-  // ParallelFor chunk target (flops) for the packed MatMul row fan-out.
+  // ParallelFor chunk target (flops) for the packed MatMul row fan-out;
+  // chunks are rounded up to whole row tiles.
   int64_t mm_chunk_flops;
   // common::GrainFor target (ops per chunk) for row-parallel kernels.
   int64_t row_grain_ops;
 };
 
 // Scalar reference implementations (std::fmaf, -ffp-contract=off). Vector
-// variants delegate partial tiles / tail columns to these, which keeps the
-// parity argument trivial for every remainder case.
+// variants delegate tails to these, which keeps the parity argument trivial
+// for every remainder case; the k-block kernels instead run edge tiles as
+// full vector tiles on zero-padded staging copies (padding lanes are
+// dropped, live lanes keep their own chains).
 void ScalarMatMulSmall(const float* a, const float* b, float* out, int m,
                        int k, int n);
-void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
-                           int64_t row_begin, int64_t row_end, int k, int n,
-                           int j0, int width);
+void ScalarMatMulKBlock(const float* a, int lda, const float* panel,
+                        float* out, int rows, int kc, int ldo, int width,
+                        bool accumulate);
+void ScalarMatVecRows(const float* a, const float* x, float* out,
+                      int64_t row_begin, int64_t row_end, int k);
 void ScalarSpmmRows(const int* row_ptr, const int* col_idx,
                     const float* values, const float* x, float* out,
                     int64_t row_begin, int64_t row_end, int f);

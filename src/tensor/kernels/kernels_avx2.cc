@@ -59,18 +59,33 @@ void MatMulSmallAvx2(const float* a, const float* b, float* out, int m,
   }
 }
 
-// Hot 4 x 64 tile, processed as four 16-column strips: 8 accumulator
-// registers + 2 panel loads per step stay within the 16 ymm registers.
-void PanelTile4x64Avx2(const float* a0, const float* a1, const float* a2,
-                       const float* a3, const float* panel, float* o0,
-                       float* o1, float* o2, float* o3, int k) {
+// Full 4 x 64 tile over one k-block, processed as four 16-column strips:
+// 8 accumulator registers + 2 panel loads per step stay within the 16 ymm
+// registers. `at` is the tile's 4 A rows (stride lda); `o` the output
+// tile (stride ldo).
+void Tile4x64Avx2(const float* at, int lda, const float* panel, float* o,
+                  int kc, int ldo, bool accumulate) {
+  float* o0 = o;
+  float* o1 = o + ldo;
+  float* o2 = o + 2 * static_cast<size_t>(ldo);
+  float* o3 = o + 3 * static_cast<size_t>(ldo);
+  const float* a0 = at;
+  const float* a1 = at + lda;
+  const float* a2 = at + 2 * static_cast<size_t>(lda);
+  const float* a3 = at + 3 * static_cast<size_t>(lda);
   for (int s = 0; s < kMmPanel; s += 16) {
-    __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-    __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-    __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-    __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+    __m256 acc00, acc01, acc10, acc11, acc20, acc21, acc30, acc31;
+    if (accumulate) {
+      acc00 = _mm256_loadu_ps(o0 + s), acc01 = _mm256_loadu_ps(o0 + s + 8);
+      acc10 = _mm256_loadu_ps(o1 + s), acc11 = _mm256_loadu_ps(o1 + s + 8);
+      acc20 = _mm256_loadu_ps(o2 + s), acc21 = _mm256_loadu_ps(o2 + s + 8);
+      acc30 = _mm256_loadu_ps(o3 + s), acc31 = _mm256_loadu_ps(o3 + s + 8);
+    } else {
+      acc00 = acc01 = acc10 = acc11 = _mm256_setzero_ps();
+      acc20 = acc21 = acc30 = acc31 = _mm256_setzero_ps();
+    }
     const float* bp = panel + s;
-    for (int p = 0; p < k; ++p, bp += kMmPanel) {
+    for (int p = 0; p < kc; ++p, bp += kMmPanel) {
       const __m256 b0 = _mm256_loadu_ps(bp);
       const __m256 b1 = _mm256_loadu_ps(bp + 8);
       __m256 v = _mm256_set1_ps(a0[p]);
@@ -97,21 +112,56 @@ void PanelTile4x64Avx2(const float* a0, const float* a1, const float* a2,
   }
 }
 
-void MatMulPanelRowsAvx2(const float* a, const float* panel, float* out,
-                         int64_t row_begin, int64_t row_end, int k, int n,
-                         int j0, int width) {
-  int64_t i0 = row_begin;
-  if (width == kMmPanel) {
-    for (; i0 + kMmRowTile <= row_end; i0 += kMmRowTile) {
-      PanelTile4x64Avx2(a + (i0 + 0) * k, a + (i0 + 1) * k,
-                        a + (i0 + 2) * k, a + (i0 + 3) * k, panel,
-                        out + (i0 + 0) * n + j0, out + (i0 + 1) * n + j0,
-                        out + (i0 + 2) * n + j0, out + (i0 + 3) * n + j0, k);
+void MatMulKBlockAvx2(const float* a, int lda, const float* panel,
+                      float* out, int rows, int kc, int ldo, int width,
+                      bool accumulate) {
+  for (int i0 = 0; i0 < rows; i0 += kMmRowTile) {
+    const float* at = a + static_cast<size_t>(i0) * lda;
+    float* o = out + static_cast<size_t>(i0) * ldo;
+    const int tile_rows = std::min(kMmRowTile, rows - i0);
+    if (tile_rows == kMmRowTile && width == kMmPanel) {
+      Tile4x64Avx2(at, lda, panel, o, kc, ldo, accumulate);
+      continue;
+    }
+    // Edge tile: run the full tile on zero-padded staging copies of its A
+    // rows and output and write back only the live part. Padded rows and
+    // columns compute on zeros and are dropped; each live element still
+    // sees exactly its own chain.
+    alignas(32) float stage_a[kMmRowTile][kMmDepth] = {};
+    alignas(32) float stage[kMmRowTile][kMmPanel] = {};
+    for (int r = 0; r < tile_rows; ++r) {
+      const float* arow = at + static_cast<size_t>(r) * lda;
+      std::copy(arow, arow + kc, stage_a[r]);
+      if (accumulate) {
+        std::copy(o + static_cast<size_t>(r) * ldo,
+                  o + static_cast<size_t>(r) * ldo + width, stage[r]);
+      }
+    }
+    Tile4x64Avx2(stage_a[0], kMmDepth, panel, stage[0], kc, kMmPanel,
+                 accumulate);
+    for (int r = 0; r < tile_rows; ++r) {
+      std::copy(stage[r], stage[r] + width, o + static_cast<size_t>(r) * ldo);
     }
   }
-  if (i0 < row_end) {
-    ScalarMatMulPanelRows(a, panel, out, i0, row_end, k, n, j0, width);
+}
+
+// Eight rows per pass, one row per lane: lane r runs row r's ascending fma
+// chain, so the gathered column block feeds 8 independent chains.
+void MatVecRowsAvx2(const float* a, const float* x, float* out,
+                    int64_t row_begin, int64_t row_end, int k) {
+  int64_t i = row_begin;
+  const __m256i stride = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(k));
+  for (; i + 8 <= row_end; i += 8) {
+    const float* base = a + i * k;
+    __m256 acc = _mm256_setzero_ps();
+    for (int p = 0; p < k; ++p) {
+      acc = _mm256_fmadd_ps(_mm256_i32gather_ps(base + p, stride, 4),
+                            _mm256_set1_ps(x[p]), acc);
+    }
+    _mm256_storeu_ps(out + i, acc);
   }
+  if (i < row_end) ScalarMatVecRows(a, x, out, i, row_end, k);
 }
 
 void SpmmRowsAvx2(const int* row_ptr, const int* col_idx, const float* values,
@@ -407,7 +457,8 @@ const KernelTable& Avx2Kernels() {
       common::Isa::kAvx2,
       "avx2",
       &MatMulSmallAvx2,
-      &MatMulPanelRowsAvx2,
+      &MatMulKBlockAvx2,
+      &MatVecRowsAvx2,
       &SpmmRowsAvx2,
       &AdamStepAvx2,
       &QgemmRowsAvx2,

@@ -58,21 +58,38 @@ void MatMulSmallAvx512(const float* a, const float* b, float* out, int m,
   }
 }
 
-// Full 4 x 64 hot tile in one pass: 16 zmm accumulators + 4 panel loads
-// per k step fit comfortably in the 32 zmm registers.
-void PanelTile4x64Avx512(const float* a0, const float* a1, const float* a2,
-                         const float* a3, const float* panel, float* o0,
-                         float* o1, float* o2, float* o3, int k) {
-  __m512 acc00 = _mm512_setzero_ps(), acc01 = _mm512_setzero_ps();
-  __m512 acc02 = _mm512_setzero_ps(), acc03 = _mm512_setzero_ps();
-  __m512 acc10 = _mm512_setzero_ps(), acc11 = _mm512_setzero_ps();
-  __m512 acc12 = _mm512_setzero_ps(), acc13 = _mm512_setzero_ps();
-  __m512 acc20 = _mm512_setzero_ps(), acc21 = _mm512_setzero_ps();
-  __m512 acc22 = _mm512_setzero_ps(), acc23 = _mm512_setzero_ps();
-  __m512 acc30 = _mm512_setzero_ps(), acc31 = _mm512_setzero_ps();
-  __m512 acc32 = _mm512_setzero_ps(), acc33 = _mm512_setzero_ps();
+// Full 4 x 64 tile over one k-block in one pass: 16 zmm accumulators + 4
+// panel loads per k step fit comfortably in the 32 zmm registers. `at` is
+// the tile's 4 A rows (stride lda); `o` the output tile (stride ldo).
+void Tile4x64Avx512(const float* at, int lda, const float* panel, float* o,
+                    int kc, int ldo, bool accumulate) {
+  float* o0 = o;
+  float* o1 = o + ldo;
+  float* o2 = o + 2 * static_cast<size_t>(ldo);
+  float* o3 = o + 3 * static_cast<size_t>(ldo);
+  __m512 acc00, acc01, acc02, acc03, acc10, acc11, acc12, acc13;
+  __m512 acc20, acc21, acc22, acc23, acc30, acc31, acc32, acc33;
+  if (accumulate) {
+    acc00 = _mm512_loadu_ps(o0), acc01 = _mm512_loadu_ps(o0 + 16);
+    acc02 = _mm512_loadu_ps(o0 + 32), acc03 = _mm512_loadu_ps(o0 + 48);
+    acc10 = _mm512_loadu_ps(o1), acc11 = _mm512_loadu_ps(o1 + 16);
+    acc12 = _mm512_loadu_ps(o1 + 32), acc13 = _mm512_loadu_ps(o1 + 48);
+    acc20 = _mm512_loadu_ps(o2), acc21 = _mm512_loadu_ps(o2 + 16);
+    acc22 = _mm512_loadu_ps(o2 + 32), acc23 = _mm512_loadu_ps(o2 + 48);
+    acc30 = _mm512_loadu_ps(o3), acc31 = _mm512_loadu_ps(o3 + 16);
+    acc32 = _mm512_loadu_ps(o3 + 32), acc33 = _mm512_loadu_ps(o3 + 48);
+  } else {
+    acc00 = acc01 = acc02 = acc03 = _mm512_setzero_ps();
+    acc10 = acc11 = acc12 = acc13 = _mm512_setzero_ps();
+    acc20 = acc21 = acc22 = acc23 = _mm512_setzero_ps();
+    acc30 = acc31 = acc32 = acc33 = _mm512_setzero_ps();
+  }
+  const float* a0 = at;
+  const float* a1 = at + lda;
+  const float* a2 = at + 2 * static_cast<size_t>(lda);
+  const float* a3 = at + 3 * static_cast<size_t>(lda);
   const float* bp = panel;
-  for (int p = 0; p < k; ++p, bp += kMmPanel) {
+  for (int p = 0; p < kc; ++p, bp += kMmPanel) {
     const __m512 b0 = _mm512_loadu_ps(bp);
     const __m512 b1 = _mm512_loadu_ps(bp + 16);
     const __m512 b2 = _mm512_loadu_ps(bp + 32);
@@ -116,22 +133,58 @@ void PanelTile4x64Avx512(const float* a0, const float* a1, const float* a2,
   _mm512_storeu_ps(o3 + 48, acc33);
 }
 
-void MatMulPanelRowsAvx512(const float* a, const float* panel, float* out,
-                           int64_t row_begin, int64_t row_end, int k, int n,
-                           int j0, int width) {
-  int64_t i0 = row_begin;
-  if (width == kMmPanel) {
-    for (; i0 + kMmRowTile <= row_end; i0 += kMmRowTile) {
-      PanelTile4x64Avx512(a + (i0 + 0) * k, a + (i0 + 1) * k,
-                          a + (i0 + 2) * k, a + (i0 + 3) * k, panel,
-                          out + (i0 + 0) * n + j0, out + (i0 + 1) * n + j0,
-                          out + (i0 + 2) * n + j0, out + (i0 + 3) * n + j0,
-                          k);
+void MatMulKBlockAvx512(const float* a, int lda, const float* panel,
+                        float* out, int rows, int kc, int ldo, int width,
+                        bool accumulate) {
+  for (int i0 = 0; i0 < rows; i0 += kMmRowTile) {
+    const float* at = a + static_cast<size_t>(i0) * lda;
+    float* o = out + static_cast<size_t>(i0) * ldo;
+    const int tile_rows = std::min(kMmRowTile, rows - i0);
+    if (tile_rows == kMmRowTile && width == kMmPanel) {
+      Tile4x64Avx512(at, lda, panel, o, kc, ldo, accumulate);
+      continue;
+    }
+    // Edge tile: run the full tile on zero-padded staging copies of its A
+    // rows and output and write back only the live part. Padded rows and
+    // columns compute on zeros and are dropped; each live element still
+    // sees exactly its own chain.
+    alignas(64) float stage_a[kMmRowTile][kMmDepth] = {};
+    alignas(64) float stage[kMmRowTile][kMmPanel] = {};
+    for (int r = 0; r < tile_rows; ++r) {
+      const float* arow = at + static_cast<size_t>(r) * lda;
+      std::copy(arow, arow + kc, stage_a[r]);
+      if (accumulate) {
+        std::copy(o + static_cast<size_t>(r) * ldo,
+                  o + static_cast<size_t>(r) * ldo + width, stage[r]);
+      }
+    }
+    Tile4x64Avx512(stage_a[0], kMmDepth, panel, stage[0], kc, kMmPanel,
+                   accumulate);
+    for (int r = 0; r < tile_rows; ++r) {
+      std::copy(stage[r], stage[r] + width, o + static_cast<size_t>(r) * ldo);
     }
   }
-  if (i0 < row_end) {
-    ScalarMatMulPanelRows(a, panel, out, i0, row_end, k, n, j0, width);
+}
+
+// Sixteen rows per pass, one row per lane: lane r runs row r's ascending
+// fma chain, so the gathered column block feeds 16 independent chains.
+void MatVecRowsAvx512(const float* a, const float* x, float* out,
+                      int64_t row_begin, int64_t row_end, int k) {
+  int64_t i = row_begin;
+  const __m512i stride = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                        15),
+      _mm512_set1_epi32(k));
+  for (; i + 16 <= row_end; i += 16) {
+    const float* base = a + i * k;
+    __m512 acc = _mm512_setzero_ps();
+    for (int p = 0; p < k; ++p) {
+      acc = _mm512_fmadd_ps(_mm512_i32gather_ps(stride, base + p, 4),
+                            _mm512_set1_ps(x[p]), acc);
+    }
+    _mm512_storeu_ps(out + i, acc);
   }
+  if (i < row_end) ScalarMatVecRows(a, x, out, i, row_end, k);
 }
 
 void SpmmRowsAvx512(const int* row_ptr, const int* col_idx,
@@ -439,7 +492,8 @@ const KernelTable& Avx512Kernels() {
       common::Isa::kAvx512,
       "avx512",
       &MatMulSmallAvx512,
-      &MatMulPanelRowsAvx512,
+      &MatMulKBlockAvx512,
+      &MatVecRowsAvx512,
       &SpmmRowsAvx512,
       &AdamStepAvx512,
       &QgemmRowsAvx512,

@@ -26,29 +26,30 @@ void ScalarMatMulSmall(const float* a, const float* b, float* out, int m,
   }
 }
 
-void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
-                           int64_t row_begin, int64_t row_end, int k, int n,
-                           int j0, int width) {
-  for (int64_t i0 = row_begin; i0 < row_end; i0 += kMmRowTile) {
-    const int rows =
-        static_cast<int>(std::min<int64_t>(kMmRowTile, row_end - i0));
+void ScalarMatMulKBlock(const float* a, int lda, const float* panel,
+                        float* out, int rows, int kc, int ldo, int width,
+                        bool accumulate) {
+  for (int i0 = 0; i0 < rows; i0 += kMmRowTile) {
+    const int tile_rows = std::min(kMmRowTile, rows - i0);
     float acc[kMmRowTile][kMmPanel];
-    for (int r = 0; r < rows; ++r) {
-      std::fill(acc[r], acc[r] + width, 0.0f);
+    for (int r = 0; r < tile_rows; ++r) {
+      const float* orow = out + static_cast<size_t>(i0 + r) * ldo;
+      if (accumulate) {
+        std::copy(orow, orow + width, acc[r]);
+      } else {
+        std::fill(acc[r], acc[r] + width, 0.0f);
+      }
     }
-    if (rows == kMmRowTile && width == kMmPanel) {
+    const float* at = a + static_cast<size_t>(i0) * lda;
+    if (tile_rows == kMmRowTile && width == kMmPanel) {
       // Register-blocked hot tile: 4 rows share every load of the packed
       // panel row.
-      const float* a0 = a + (i0 + 0) * k;
-      const float* a1 = a + (i0 + 1) * k;
-      const float* a2 = a + (i0 + 2) * k;
-      const float* a3 = a + (i0 + 3) * k;
-      for (int p = 0; p < k; ++p) {
+      for (int p = 0; p < kc; ++p) {
         const float* bp = panel + static_cast<size_t>(p) * kMmPanel;
-        const float v0 = a0[p];
-        const float v1 = a1[p];
-        const float v2 = a2[p];
-        const float v3 = a3[p];
+        const float v0 = at[p];
+        const float v1 = at[lda + p];
+        const float v2 = at[2 * static_cast<size_t>(lda) + p];
+        const float v3 = at[3 * static_cast<size_t>(lda) + p];
         for (int j = 0; j < kMmPanel; ++j) {
           acc[0][j] = std::fmaf(v0, bp[j], acc[0][j]);
           acc[1][j] = std::fmaf(v1, bp[j], acc[1][j]);
@@ -57,19 +58,52 @@ void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
         }
       }
     } else {
-      for (int p = 0; p < k; ++p) {
+      for (int p = 0; p < kc; ++p) {
         const float* bp = panel + static_cast<size_t>(p) * kMmPanel;
-        for (int r = 0; r < rows; ++r) {
-          const float v = a[(i0 + r) * k + p];
+        for (int r = 0; r < tile_rows; ++r) {
+          const float v = at[static_cast<size_t>(r) * lda + p];
           for (int j = 0; j < width; ++j) {
             acc[r][j] = std::fmaf(v, bp[j], acc[r][j]);
           }
         }
       }
     }
-    for (int r = 0; r < rows; ++r) {
-      std::copy(acc[r], acc[r] + width, out + (i0 + r) * n + j0);
+    for (int r = 0; r < tile_rows; ++r) {
+      std::copy(acc[r], acc[r] + width,
+                out + static_cast<size_t>(i0 + r) * ldo);
     }
+  }
+}
+
+void ScalarMatVecRows(const float* a, const float* x, float* out,
+                      int64_t row_begin, int64_t row_end, int k) {
+  int64_t i = row_begin;
+  // Four independent rows per pass: each row is still one serial fma chain
+  // in ascending p, but four chains in flight hide the fma latency that a
+  // lone chain waits on.
+  for (; i + 4 <= row_end; i += 4) {
+    const float* a0 = a + i * k;
+    const float* a1 = a0 + k;
+    const float* a2 = a1 + k;
+    const float* a3 = a2 + k;
+    float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+    for (int p = 0; p < k; ++p) {
+      const float xp = x[p];
+      s0 = std::fmaf(a0[p], xp, s0);
+      s1 = std::fmaf(a1[p], xp, s1);
+      s2 = std::fmaf(a2[p], xp, s2);
+      s3 = std::fmaf(a3[p], xp, s3);
+    }
+    out[i] = s0;
+    out[i + 1] = s1;
+    out[i + 2] = s2;
+    out[i + 3] = s3;
+  }
+  for (; i < row_end; ++i) {
+    const float* arow = a + i * k;
+    float s = 0.0f;
+    for (int p = 0; p < k; ++p) s = std::fmaf(arow[p], x[p], s);
+    out[i] = s;
   }
 }
 
@@ -179,7 +213,8 @@ const KernelTable& ScalarKernels() {
       common::Isa::kScalar,
       "scalar",
       &ScalarMatMulSmall,
-      &ScalarMatMulPanelRows,
+      &ScalarMatMulKBlock,
+      &ScalarMatVecRows,
       &ScalarSpmmRows,
       &ScalarAdamStep,
       &ScalarQgemmRows,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <sstream>
@@ -33,6 +34,10 @@ constexpr int64_t kElementGrain = 16384;
 // Rows per chunk targeting roughly kElementGrain elements of work.
 inline int64_t RowGrain(int64_t cols) {
   return std::max<int64_t>(1, kElementGrain / std::max<int64_t>(cols, 1));
+}
+
+inline int64_t RoundUp(int64_t value, int64_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
 }
 
 }  // namespace
@@ -352,6 +357,48 @@ Shape BroadcastShapes(const Shape& a, const Shape& b) {
 
 namespace {
 
+// Where element (i, j) of a rank <= 2 operand lives when it is broadcast
+// against a [rows, cols] output: at i * row + j * col, with a zero stride
+// along each broadcast axis.
+struct Rank2Strides {
+  int64_t row;
+  int64_t col;
+};
+
+Rank2Strides StridesFor(const Shape& s) {
+  const int64_t rows = s.size() == 2 ? s[0] : 1;
+  const int64_t cols = s.empty() ? 1 : s.back();
+  return {rows == 1 ? 0 : cols, cols == 1 ? 0 : 1};
+}
+
+// out(i, j) = fn(a(i, j), b(i, j)) over a [rows, cols] output, one row per
+// inner loop, specialised on which operand is broadcast along the row so
+// the loop body stays a contiguous, vectorisable stream. `out` may alias
+// `a` when a is not broadcast (the in-place ops).
+template <typename Fn>
+void Rank2Map(const float* a, Rank2Strides sa, const float* b,
+              Rank2Strides sb, float* out, int64_t rows, int64_t cols,
+              Fn fn) {
+  common::ParallelFor(0, rows, RowGrain(cols), [&](int64_t ib, int64_t ie) {
+    for (int64_t i = ib; i < ie; ++i) {
+      const float* ra = a + i * sa.row;
+      const float* rb = b + i * sb.row;
+      float* ro = out + i * cols;
+      if (sa.col != 0 && sb.col != 0) {
+        for (int64_t j = 0; j < cols; ++j) ro[j] = fn(ra[j], rb[j]);
+      } else if (sa.col != 0) {
+        const float y = rb[0];
+        for (int64_t j = 0; j < cols; ++j) ro[j] = fn(ra[j], y);
+      } else if (sb.col != 0) {
+        const float x = ra[0];
+        for (int64_t j = 0; j < cols; ++j) ro[j] = fn(x, rb[j]);
+      } else {
+        std::fill(ro, ro + cols, fn(ra[0], rb[0]));
+      }
+    }
+  });
+}
+
 // Applies `fn` elementwise over broadcast operands.
 template <typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
@@ -374,6 +421,15 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
   Tensor out = Tensor::Uninitialized(out_shape);
   STGNN_COUNTER_ADD("elementwise.elems", out.size());
   const int rank = static_cast<int>(out_shape.size());
+  if (rank == 1 || rank == 2) {
+    // Matrix-shaped broadcasts (the attention outer sum s 1^T + 1 d^T, bias
+    // rows, per-row scales) walk rows with fixed strides instead of the
+    // general multi-index below; each element is the same single fn call.
+    Rank2Map(a.data().data(), StridesFor(a.shape()), b.data().data(),
+             StridesFor(b.shape()), out.mutable_data().data(),
+             rank == 2 ? out_shape[0] : 1, out_shape.back(), fn);
+    return out;
+  }
 
   // Align operand shapes to the output rank with leading 1s.
   auto aligned = [rank](const Shape& s) {
@@ -406,6 +462,32 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
     }
   }
   return out;
+}
+
+// out[i] = x > 0 ? x : alpha * (exp(x) - 1) for i in [lo, hi); `out` may
+// alias `in`. Attention scores are positive about half the time in no
+// particular order, so a per-element branch mispredicts constantly. This
+// copies each block through, notes its non-positive entries branch-free,
+// then runs the same exp expression on just those: identical bits, no
+// mispredicts.
+void EluRange(const float* in, float* out, int64_t lo, int64_t hi,
+              float alpha) {
+  constexpr int64_t kBlock = 1024;
+  int32_t neg[kBlock];
+  for (int64_t b = lo; b < hi; b += kBlock) {
+    const int64_t e = std::min(hi, b + kBlock);
+    int count = 0;
+    for (int64_t i = b; i < e; ++i) {
+      const float x = in[i];
+      out[i] = x;
+      neg[count] = static_cast<int32_t>(i - b);
+      count += !(x > 0.0f);
+    }
+    for (int c = 0; c < count; ++c) {
+      float& y = out[b + neg[c]];
+      y = alpha * (std::exp(y) - 1.0f);
+    }
+  }
 }
 
 template <typename Fn>
@@ -464,9 +546,15 @@ Tensor Relu(const Tensor& a) {
   return UnaryMap(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 Tensor Elu(const Tensor& a, float alpha) {
-  return UnaryMap(a, [alpha](float x) {
-    return x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
-  });
+  Tensor out = Tensor::Uninitialized(a.shape());
+  STGNN_COUNTER_ADD("elementwise.elems", out.size());
+  const float* da = a.data().data();
+  float* dout = out.mutable_data().data();
+  common::ParallelFor(0, out.size(), kElementGrain,
+                      [&](int64_t lo, int64_t hi) {
+                        EluRange(da, dout, lo, hi, alpha);
+                      });
+  return out;
 }
 Tensor Sigmoid(const Tensor& a) {
   return UnaryMap(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
@@ -509,6 +597,13 @@ void BinaryInPlace(Tensor* a, const Tensor& b, Fn fn) {
       << "in-place op: " << ShapeToString(b.shape())
       << " must broadcast to " << ShapeToString(a->shape());
   const int rank = a->ndim();
+  if (rank == 1 || rank == 2) {
+    float* da = a->mutable_data().data();
+    Rank2Map(da, StridesFor(a->shape()), b.data().data(),
+             StridesFor(b.shape()), da, rank == 2 ? a->shape()[0] : 1,
+             a->shape().back(), fn);
+    return;
+  }
   Shape sb(rank, 1);
   std::copy(b.shape().begin(), b.shape().end(),
             sb.begin() + (rank - b.ndim()));
@@ -579,9 +674,13 @@ void ReluInPlace(Tensor* a) {
   MapInPlace(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 void EluInPlace(Tensor* a, float alpha) {
-  MapInPlace(a, [alpha](float x) {
-    return x > 0.0f ? x : alpha * (std::exp(x) - 1.0f);
-  });
+  STGNN_CHECK(a != nullptr);
+  STGNN_COUNTER_ADD("elementwise.elems", a->size());
+  float* da = a->mutable_data().data();
+  common::ParallelFor(0, a->size(), kElementGrain,
+                      [&](int64_t lo, int64_t hi) {
+                        EluRange(da, da, lo, hi, alpha);
+                      });
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -601,36 +700,48 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (m == 0 || k == 0 || n == 0) return Tensor({m, n});
   // The kernel table carries the per-ISA variants plus their tuning (small
   // threshold, chunk flops); every fp32 variant is bit-identical, so the
-  // ISA and the path taken never change the result, only the speed.
+  // ISA and the path taken never change the result, only the speed. Every
+  // path computes each element as one fma chain over ascending k from 0.
   const kernels::KernelTable& kt = kernels::Active();
   constexpr int kMmRowTile = kernels::kMmRowTile;
   constexpr int kMmPanel = kernels::kMmPanel;
-  const int64_t flops = static_cast<int64_t>(m) * k * n;
+  constexpr int kMmDepth = kernels::kMmDepth;
   const float* pa = a.data().data();
   const float* pb = b.data().data();
-  if (flops <= kt.mm_small_flops) {
+  if (n == 1) {
+    // Matrix-vector product (the attention score projections): B is a
+    // contiguous vector, and the kernel interleaves independent rows.
+    Tensor out = Tensor::Uninitialized({m, 1});
+    float* po = out.mutable_data().data();
+    common::ParallelFor(0, m, common::GrainFor(m, k, kt.row_grain_ops),
+                        [&](int64_t ib, int64_t ie) {
+                          kt.matvec_rows(pa, pb, po, ib, ie, k);
+                        });
+    return out;
+  }
+  if (static_cast<int64_t>(m) * k * n <= kt.mm_small_flops) {
     // The small kernel accumulates += into the output, so it needs zeros.
     Tensor out({m, n});
     kt.matmul_small(pa, pb, out.mutable_data().data(), m, k, n);
     return out;
   }
-  // The panel path stores full-k accumulators, overwriting every output
-  // element exactly once.
+  // The first k-block stores every output element; later blocks continue
+  // its chain from there.
   Tensor out = Tensor::Uninitialized({m, n});
   float* po = out.mutable_data().data();
 
   // Pack B into kMmPanel-wide column panels, each row-major with a fixed
-  // kMmPanel stride (the last panel is zero-padded per row). The packed
-  // layout keeps the microkernel's streams contiguous regardless of n; the
-  // scratch buffer itself is pooled.
+  // kMmPanel stride (the last panel is zero-padded per row), so one k-block
+  // of a panel is a contiguous [kMmDepth, kMmPanel] block whatever n is.
   const int num_panels = (n + kMmPanel - 1) / kMmPanel;
-  std::vector<float> packed = common::BufferPool::Global()->AcquireUninitialized(
+  common::BufferPool* pool = common::BufferPool::Global();
+  std::vector<float> packed_b = pool->AcquireUninitialized(
       static_cast<size_t>(num_panels) * k * kMmPanel);
   common::ParallelFor(0, num_panels, 1, [&](int64_t qb, int64_t qe) {
     for (int64_t q = qb; q < qe; ++q) {
       const int j0 = static_cast<int>(q) * kMmPanel;
       const int w = std::min(kMmPanel, n - j0);
-      float* dst = packed.data() + static_cast<size_t>(q) * k * kMmPanel;
+      float* dst = packed_b.data() + static_cast<size_t>(q) * k * kMmPanel;
       for (int p = 0; p < k; ++p) {
         const float* src = pb + static_cast<size_t>(p) * n + j0;
         float* drow = dst + static_cast<size_t>(p) * kMmPanel;
@@ -640,21 +751,30 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     }
   });
 
-  // Fan rows out across the pool; the per-ISA chunk-flop target keeps the
-  // dispatch cost negligible relative to how fast the variant retires work.
+  // Fan whole row tiles out across the pool, at least kMmRowBlock rows per
+  // chunk (the per-ISA chunk-flop target keeps dispatch cost negligible on
+  // wide, shallow products). Each chunk walks k-block by k-block, running
+  // its rows of the block past every panel's [kc, kMmPanel] block of B in
+  // turn, so each B block is fetched once per chunk, not once per tile.
   const int64_t row_flops = int64_t{2} * k * n;
-  const int64_t grain = std::max<int64_t>(
-      kMmRowTile, kt.mm_chunk_flops / std::max<int64_t>(row_flops, 1));
+  const int64_t grain = RoundUp(
+      std::max<int64_t>(kernels::kMmRowBlock, kt.mm_chunk_flops / row_flops),
+      kMmRowTile);
   common::ParallelFor(0, m, grain, [&](int64_t ib, int64_t ie) {
-    for (int q = 0; q < num_panels; ++q) {
-      const int j0 = q * kMmPanel;
-      const int w = std::min(kMmPanel, n - j0);
-      const float* panel =
-          packed.data() + static_cast<size_t>(q) * k * kMmPanel;
-      kt.matmul_panel_rows(pa, panel, po, ib, ie, k, n, j0, w);
+    const int rows = static_cast<int>(ie - ib);
+    for (int p0 = 0; p0 < k; p0 += kMmDepth) {
+      const int kc = std::min(kMmDepth, k - p0);
+      for (int q = 0; q < num_panels; ++q) {
+        const int j0 = q * kMmPanel;
+        kt.matmul_kblock(
+            pa + ib * k + p0, k,
+            packed_b.data() + (static_cast<size_t>(q) * k + p0) * kMmPanel,
+            po + ib * n + j0, rows, kc, n, std::min(kMmPanel, n - j0),
+            /*accumulate=*/p0 > 0);
+      }
     }
   });
-  common::BufferPool::Global()->Release(std::move(packed));
+  pool->Release(std::move(packed_b));
   return out;
 }
 
@@ -845,15 +965,17 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
     cols += p.dim(1);
   }
   Tensor out = Tensor::Uninitialized({rows, cols});
-  for (int i = 0; i < rows; ++i) {
-    int col_offset = 0;
-    for (const auto& p : parts) {
-      for (int j = 0; j < p.dim(1); ++j) {
-        out.at(i, col_offset + j) = p.at(i, j);
+  float* dout = out.mutable_data().data();
+  common::ParallelFor(0, rows, RowGrain(cols), [&](int64_t ib, int64_t ie) {
+    for (int64_t i = ib; i < ie; ++i) {
+      float* orow = dout + i * cols;
+      for (const auto& p : parts) {
+        const int w = p.dim(1);
+        std::memcpy(orow, p.data().data() + i * w, sizeof(float) * w);
+        orow += w;
       }
-      col_offset += p.dim(1);
     }
-  }
+  });
   return out;
 }
 

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,6 +18,7 @@
 #include "data/window.h"
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
+#include "serve/engine.h"
 #include "serve/feature_ring.h"
 #include "serve/histogram.h"
 #include "serve/model_registry.h"
@@ -626,6 +629,91 @@ TEST(PredictionServiceTest, TypedFailures) {
     EXPECT_EQ(response.kind, PredictResponse::Kind::kFailed);
     EXPECT_EQ(response.status.code(), StatusCode::kOutOfRange);
   }
+}
+
+// Forwards to a LocalEngine, but runs `before_first` ahead of the first
+// Execute: ingest that lands after the service resolved a batch's slot and
+// before the engine reads the ring.
+class IngestRacingEngine : public InferenceEngine {
+ public:
+  IngestRacingEngine(LocalEngine* inner, std::function<void()> before_first)
+      : inner_(inner), before_first_(std::move(before_first)) {}
+
+  int num_stations() const override { return inner_->num_stations(); }
+  int num_rows() const override { return inner_->num_rows(); }
+  int row_of(int station) const override { return inner_->row_of(station); }
+  int next_slot() const override { return inner_->next_slot(); }
+  Result<EngineOutput> Execute(int slot) override {
+    if (before_first_) std::exchange(before_first_, nullptr)();
+    return inner_->Execute(slot);
+  }
+  const SlotCacheStats& cache_stats() const override {
+    return inner_->cache_stats();
+  }
+
+ private:
+  LocalEngine* inner_;
+  std::function<void()> before_first_;
+};
+
+// A batch resolves "latest" to the frontier F; then enough slots land to
+// overwrite history F needs before the batch executes. The latest request
+// must follow the frontier (bitwise the direct forward there), while the
+// request that named F explicitly keeps its typed error.
+TEST(PredictionServiceTest, LatestFollowsFrontierPastOverwrittenSlot) {
+  const data::FlowDataset flow = MakeFlow();
+  const core::StgnnConfig config = TestConfig();
+  const float scale = 1.0f / flow.max_train_flow;
+  const data::MinMaxNormalizer normalizer = data::MinMaxNormalizer::Fit(
+      flow.demand, flow.supply, flow.train_end);
+  FeatureRing ring(flow.num_stations, config.short_term_slots,
+                   config.long_term_days, flow.slots_per_day, scale);
+  const int resolved = ring.first_predictable_slot() + 2;
+  for (int t = 0; t < resolved; ++t) {
+    ASSERT_TRUE(ring.Push(t, flow.inflow[t], flow.outflow[t]).ok());
+  }
+  // Slot F needs [F - window, F); the ring keeps window + 2 slots, so the
+  // third push past F overwrites F - window.
+  const int pushes = ring.capacity() - ring.first_predictable_slot() + 1;
+  ASSERT_LE(resolved + pushes, flow.num_slots);
+  ModelRegistry registry;
+  const std::shared_ptr<const core::StgnnDjdModel> model =
+      MakeModel(flow.num_stations, config, 5);
+  registry.Publish(ModelSnapshot(model, normalizer, scale, config));
+  LocalEngine local(&registry, &ring);
+  IngestRacingEngine engine(&local, [&] {
+    for (int t = resolved; t < resolved + pushes; ++t) {
+      ASSERT_TRUE(ring.Push(t, flow.inflow[t], flow.outflow[t]).ok());
+    }
+  });
+  PredictionService service(&engine,
+                            {.num_workers = 1, .max_batch = 4,
+                             .max_queue = 16});
+  // Queued before Start, both resolve to F and share the first batch.
+  PredictRequest pinned;
+  pinned.slot = resolved;
+  auto pinned_future = service.SubmitAsync(pinned);
+  auto latest_future = service.SubmitAsync({});
+  service.Start();
+
+  const PredictResponse latest = latest_future.get();
+  ASSERT_TRUE(latest.ok()) << latest.status.ToString();
+  EXPECT_EQ(latest.slot, resolved + pushes);
+  ExpectBitEqual(latest.predictions,
+                 DirectPrediction(*model, normalizer,
+                                  data::BuildStHistory(
+                                      flow, resolved + pushes,
+                                      config.short_term_slots,
+                                      config.long_term_days, scale)));
+  const PredictResponse stale = pinned_future.get();
+  EXPECT_EQ(stale.kind, PredictResponse::Kind::kFailed);
+  EXPECT_EQ(stale.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(stale.status.message().find("overwritten"), std::string::npos);
+  EXPECT_EQ(stale.slot, resolved);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.served, 1);
+  EXPECT_EQ(stats.failed, 1);
+  service.Stop();
 }
 
 }  // namespace

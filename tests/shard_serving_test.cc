@@ -259,6 +259,51 @@ TEST(ShardServingTest, ShardedVsUnshardedBitwiseParity) {
   }
 }
 
+// Ingest that lands after the router resolved "latest" to the frontier F,
+// but before F's contexts are built, can overwrite history F needs. The
+// request must follow the frontier instead of failing, bitwise equal to
+// the unsharded answer there; a request that named F keeps the typed error.
+TEST(ShardServingTest, LatestFollowsFrontierPastOverwrittenSlot) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardHarness h(shards, /*service_workers=*/1, TestConfig());
+    h.PublishBoth();
+    const int resolved = h.fleet.next_slot();
+    // F needs [F - window, F) and a ring keeps window + 2 slots, so the
+    // third push past F overwrites F - window.
+    const int pushes =
+        h.ring.capacity() - h.ring.first_predictable_slot() + 1;
+    ASSERT_LE(resolved + pushes, h.flow.num_slots);
+    std::atomic<bool> pushed{false};
+    h.router.SetResolvedHookForTest([&](int slot) {
+      if (slot != resolved || pushed.exchange(true)) return;
+      for (int t = resolved; t < resolved + pushes; ++t) h.PushBoth(t);
+    });
+    h.StartBoth();
+
+    const PredictResponse got = h.router.Predict({});
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    EXPECT_TRUE(pushed.load());
+    EXPECT_EQ(got.slot, resolved + pushes);
+    const PredictResponse want = h.reference.Predict({});
+    ASSERT_TRUE(want.ok()) << want.status.ToString();
+    EXPECT_EQ(want.slot, got.slot);
+    ExpectBitEqual(got.predictions, want.predictions);
+    EXPECT_EQ(h.router.stats().failed, 0);
+    EXPECT_GE(h.router.stats().retries, 1);
+
+    PredictRequest pinned;
+    pinned.slot = resolved;
+    const PredictResponse stale = h.router.Predict(pinned);
+    EXPECT_EQ(stale.kind, PredictResponse::Kind::kFailed);
+    EXPECT_EQ(stale.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(stale.status.message().find("overwritten"), std::string::npos);
+    h.router.Stop();
+    h.fleet.Stop();
+    h.reference.Stop();
+  }
+}
+
 // Station-set routing: a cluster-local query fans to exactly one shard, a
 // scattered query to several; both return rows in request-station order,
 // bitwise equal to the matching unsharded rows.

@@ -95,7 +95,7 @@ constexpr int kThreadCounts[] = {1, 2, 7};
 
 TEST(SimdKernels, MatMulBitwiseParityAcrossIsasAndThreadCounts) {
   DispatchGuard guard;
-  // Small-path, panel-path, and just-past-tile shapes; odd dims exercise
+  // Small-path, blocked-path, and just-past-tile shapes; odd dims exercise
   // every remainder branch of the vector kernels.
   const struct {
     int m, k, n;
@@ -113,6 +113,47 @@ TEST(SimdKernels, MatMulBitwiseParityAcrossIsasAndThreadCounts) {
       for (common::Isa isa : AvailableIsas()) {
         common::SetIsa(isa);
         EXPECT_TRUE(BitsEqual(reference, tensor::MatMul(a, b)))
+            << common::IsaName(isa) << " threads=" << threads << " shape "
+            << s.m << "x" << s.k << "x" << s.n;
+      }
+    }
+  }
+}
+
+// The k-blocked GEMM against an independent reference: every element as one
+// std::fmaf chain over ascending k from 0, the order the kernel contract
+// promises. Shapes straddle every blocking edge: k one below, at, and one
+// above the k-block depth plus a deep 2051 (16 blocks and a ragged one), m
+// off the row tile and past one row block (several chunks), n off the
+// panel width, and n == 1 (the matvec path).
+TEST(SimdKernels, BlockedMatMulMatchesFullKChainAcrossIsasAndThreadCounts) {
+  DispatchGuard guard;
+  constexpr int kc = tensor::kernels::kMmDepth;
+  const struct {
+    int m, k, n;
+  } kShapes[] = {{70, kc - 1, 130},  {131, kc, 67},  {67, kc + 1, 100},
+                 {9, 2051, 70},      {133, 2051, 1}, {70, kc + 1, 1},
+                 {3, kc - 1, 1},     {66, kc, 65}};
+  for (const auto& s : kShapes) {
+    common::Rng rng(9000 + s.m + s.k + s.n);
+    const Tensor a = RandomTensor({s.m, s.k}, &rng);
+    const Tensor b = RandomTensor({s.k, s.n}, &rng);
+    Tensor chain({s.m, s.n});
+    for (int i = 0; i < s.m; ++i) {
+      for (int j = 0; j < s.n; ++j) {
+        float acc = 0.0f;
+        for (int p = 0; p < s.k; ++p) {
+          acc = std::fmaf(a.flat(static_cast<int64_t>(i) * s.k + p),
+                          b.flat(static_cast<int64_t>(p) * s.n + j), acc);
+        }
+        chain.flat(static_cast<int64_t>(i) * s.n + j) = acc;
+      }
+    }
+    for (int threads : kThreadCounts) {
+      common::SetNumThreads(threads);
+      for (common::Isa isa : AvailableIsas()) {
+        common::SetIsa(isa);
+        EXPECT_TRUE(BitsEqual(chain, tensor::MatMul(a, b)))
             << common::IsaName(isa) << " threads=" << threads << " shape "
             << s.m << "x" << s.k << "x" << s.n;
       }
@@ -245,7 +286,8 @@ TEST(SimdKernels, VnniTableSharesFp32KernelsWithAvx512) {
   const tensor::kernels::KernelTable& avx512 =
       tensor::kernels::Avx512Kernels();
   EXPECT_EQ(vnni.matmul_small, avx512.matmul_small);
-  EXPECT_EQ(vnni.matmul_panel_rows, avx512.matmul_panel_rows);
+  EXPECT_EQ(vnni.matmul_kblock, avx512.matmul_kblock);
+  EXPECT_EQ(vnni.matvec_rows, avx512.matvec_rows);
   EXPECT_EQ(vnni.spmm_rows, avx512.spmm_rows);
   EXPECT_EQ(vnni.adam_step, avx512.adam_step);
   EXPECT_EQ(vnni.quantize_act_rows, avx512.quantize_act_rows);
@@ -313,7 +355,7 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
   constexpr int kPanel = tensor::kernels::kMmPanel;
   const int kWidths[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33,
                          kPanel - 1, kPanel, kPanel + 1, 2 * kPanel + 2};
-  const int kRows[] = {1, 3, 4, 5, 9};
+  const int kRows[] = {1, 3, 4, 5, 9, 15, 16, 17};
   constexpr int kDepth = 17;
   common::Rng rng(6000);
   for (common::Isa isa : AvailableIsas()) {
@@ -347,8 +389,9 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
                         kDepth, n);
         expect_close(small, "matmul_small");
 
-        // matmul_panel_rows overwrites every element exactly once, so a NaN
-        // sentinel catches any row or column the kernel never visited.
+        // matmul_kblock with accumulate=false overwrites every element
+        // exactly once, so a NaN sentinel catches any row or column the
+        // kernel never visited. B is packed into zero-padded panels.
         const int num_panels = (n + kPanel - 1) / kPanel;
         std::vector<float> packed(
             static_cast<size_t>(num_panels) * kDepth * kPanel, 0.0f);
@@ -362,23 +405,60 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
             }
           }
         }
-        std::vector<float> panel_out(
+        std::vector<float> kblock_out(
             static_cast<size_t>(m) * n,
             std::numeric_limits<float>::quiet_NaN());
         for (int q = 0; q < num_panels; ++q) {
           const int j0 = q * kPanel;
-          const int w = std::min(kPanel, n - j0);
-          kt.matmul_panel_rows(
-              a.data().data(),
+          kt.matmul_kblock(
+              a.data().data(), kDepth,
               packed.data() + static_cast<size_t>(q) * kDepth * kPanel,
-              panel_out.data(), 0, m, kDepth, n, j0, w);
+              kblock_out.data() + j0, m, kDepth, n, std::min(kPanel, n - j0),
+              /*accumulate=*/false);
         }
-        for (size_t i = 0; i < panel_out.size(); ++i) {
-          EXPECT_FALSE(std::isnan(panel_out[i]))
-              << kt.name << " matmul_panel_rows left element " << i
+        for (size_t i = 0; i < kblock_out.size(); ++i) {
+          EXPECT_FALSE(std::isnan(kblock_out[i]))
+              << kt.name << " matmul_kblock left element " << i
               << " unwritten at m=" << m << " n=" << n;
         }
-        expect_close(panel_out, "matmul_panel_rows");
+        expect_close(kblock_out, "matmul_kblock");
+
+        // The same product as two k-blocks, the second accumulating into
+        // the first's stored partial sums, must reproduce the single-block
+        // bits: a stored float continues the chain unchanged.
+        constexpr int kSplit = 9;
+        std::vector<float> split_out(
+            static_cast<size_t>(m) * n,
+            std::numeric_limits<float>::quiet_NaN());
+        for (const auto [p0, kc] : {std::pair{0, kSplit},
+                                    std::pair{kSplit, kDepth - kSplit}}) {
+          for (int q = 0; q < num_panels; ++q) {
+            const int j0 = q * kPanel;
+            kt.matmul_kblock(
+                a.data().data() + p0, kDepth,
+                packed.data() +
+                    (static_cast<size_t>(q) * kDepth + p0) * kPanel,
+                split_out.data() + j0, m, kc, n, std::min(kPanel, n - j0),
+                /*accumulate=*/p0 > 0);
+          }
+        }
+        EXPECT_EQ(std::memcmp(split_out.data(), kblock_out.data(),
+                              split_out.size() * sizeof(float)),
+                  0)
+            << kt.name << " two-block matmul_kblock m=" << m << " n=" << n;
+
+        // matvec_rows against column 0 of the same reference product.
+        std::vector<float> column(kDepth);
+        for (int p = 0; p < kDepth; ++p) column[p] = b.flat(p * n);
+        std::vector<float> matvec_out(
+            static_cast<size_t>(m), std::numeric_limits<float>::quiet_NaN());
+        kt.matvec_rows(a.data().data(), column.data(), matvec_out.data(), 0,
+                       m, kDepth);
+        for (int i = 0; i < m; ++i) {
+          const double want = ref[static_cast<size_t>(i) * n];
+          EXPECT_NEAR(matvec_out[i], want, 1e-3 * std::fabs(want))
+              << kt.name << " matvec_rows m=" << m << " row " << i;
+        }
 
         // spmm_rows over a fully-dense pattern must agree with the same
         // reference (every row of the pattern is non-empty by
@@ -398,7 +478,7 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
 TEST(SimdKernels, GradientBitwiseParityAcrossIsas) {
   DispatchGuard guard;
   common::Rng rng(7000);
-  // Big enough to take the packed panel path on every ISA's threshold.
+  // Big enough to take the blocked path on every ISA's threshold.
   const Tensor av = RandomTensor({66, 62}, &rng);
   const Tensor bv = RandomTensor({62, 66}, &rng);
   auto grads_at = [&](common::Isa isa) {

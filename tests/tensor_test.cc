@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -140,6 +143,101 @@ TEST(BroadcastTest, MulDivSubMaximum) {
   EXPECT_TRUE(Minimum(a, b).AllClose(Tensor({2, 2}, {2, 3, 3, 8})));
 }
 
+// --- Rank-2 broadcast fast paths vs the general N-d loop ---
+//
+// Rank <= 2 broadcasts take a strided row loop; rank >= 3 the general
+// multi-index loop. Lifting both operands by two leading 1 axes routes the
+// same values through the general loop, so the two results must agree bit
+// for bit. Inputs include NaN, +-inf and signed zeros, so Maximum/Minimum
+// tie and NaN handling is pinned too. Sizes span several parallel chunks.
+
+Tensor SpecialValues(const Shape& shape, common::Rng* rng) {
+  Tensor t = Tensor::RandomNormal(shape, 0.0f, 2.0f, rng);
+  const float specials[] = {std::nanf(""), INFINITY, -INFINITY, 0.0f, -0.0f,
+                            1.0f};
+  for (int64_t i = 0; i < t.size(); i += 7) {
+    t.flat(i) = specials[(i / 7) % 6];
+  }
+  return t;
+}
+
+Shape Lifted(const Shape& s) {
+  Shape lifted{1, 1};
+  lifted.insert(lifted.end(), s.begin(), s.end());
+  return lifted;
+}
+
+::testing::AssertionResult SameBits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure()
+           << ShapeToString(a.shape()) << " vs " << ShapeToString(b.shape());
+  }
+  if (std::memcmp(a.data().data(), b.data().data(),
+                  sizeof(float) * a.size()) != 0) {
+    return ::testing::AssertionFailure() << "bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr int kRows = 257;
+constexpr int kCols = 131;
+
+TEST(Rank2BroadcastTest, EveryBinaryOpMatchesGeneralLoop) {
+  const struct {
+    const char* name;
+    Tensor (*op)(const Tensor&, const Tensor&);
+  } kOps[] = {{"Add", &Add},         {"Sub", &Sub},
+              {"Mul", &Mul},         {"Div", &Div},
+              {"Maximum", &Maximum}, {"Minimum", &Minimum}};
+  const std::pair<Shape, Shape> kPairs[] = {
+      {{kRows, 1}, {1, kCols}},     {{kRows, kCols}, {1, kCols}},
+      {{kRows, kCols}, {kRows, 1}}, {{1, kCols}, {kRows, 1}},
+      {{1, kCols}, {kRows, kCols}}, {{kRows, kCols}, {kCols}},
+      {{kRows, kCols}, {1}},        {{}, {kRows, kCols}},
+      {{kRows, 1}, {1, 1}},         {{kCols}, {1}}};
+  common::Rng rng(123);
+  for (const auto& [sa, sb] : kPairs) {
+    const Tensor a = SpecialValues(sa, &rng);
+    const Tensor b = SpecialValues(sb, &rng);
+    const Tensor a3 = a.Reshape(Lifted(sa));
+    const Tensor b3 = b.Reshape(Lifted(sb));
+    for (const auto& op : kOps) {
+      const Tensor fast = op.op(a, b);
+      const Tensor general = op.op(a3, b3);
+      EXPECT_TRUE(SameBits(fast, general.Reshape(fast.shape())))
+          << op.name << " " << ShapeToString(sa) << " (+) "
+          << ShapeToString(sb);
+    }
+  }
+}
+
+TEST(Rank2BroadcastTest, InPlaceOpsMatchGeneralLoop) {
+  const struct {
+    const char* name;
+    void (*op)(Tensor*, const Tensor&);
+    Tensor (*out_of_place)(const Tensor&, const Tensor&);
+  } kOps[] = {{"AddInPlace", &AddInPlace, &Add},
+              {"SubInPlace", &SubInPlace, &Sub},
+              {"MulInPlace", &MulInPlace, &Mul}};
+  const Shape kOperands[] = {{1, kCols}, {kRows, 1}, {kCols}, {1}, {1, 1}};
+  common::Rng rng(321);
+  for (const Shape& sb : kOperands) {
+    const Tensor a = SpecialValues({kRows, kCols}, &rng);
+    const Tensor b = SpecialValues(sb, &rng);
+    for (const auto& op : kOps) {
+      Tensor fast = a;
+      op.op(&fast, b);
+      Tensor general = a.Reshape(Lifted(a.shape()));
+      op.op(&general, b.Reshape(Lifted(sb)));
+      EXPECT_TRUE(SameBits(fast, general.Reshape(fast.shape())))
+          << op.name << " [" << kRows << ", " << kCols << "] (+)= "
+          << ShapeToString(sb);
+      // The in-place result is the out-of-place op's, too.
+      EXPECT_TRUE(SameBits(fast, op.out_of_place(a, b))) << op.name;
+    }
+  }
+}
+
 // --- Unary ops ---
 
 TEST(UnaryTest, Basics) {
@@ -252,6 +350,25 @@ TEST(ConcatTest, Cols) {
   Tensor b({2, 2}, {3, 4, 5, 6});
   Tensor c = Concat({a, b}, 1);
   EXPECT_TRUE(c.AllClose(Tensor({2, 3}, {1, 3, 4, 2, 5, 6})));
+}
+
+TEST(ConcatTest, ColsMatchElementwiseCopyAtScale) {
+  common::Rng rng(5);
+  std::vector<Tensor> parts;
+  for (int w : {3, 64, 1, 130}) {
+    parts.push_back(Tensor::RandomNormal({kRows, w}, 0.0f, 1.0f, &rng));
+  }
+  const Tensor c = Concat(parts, 1);
+  ASSERT_EQ(c.shape(), (Shape{kRows, 198}));
+  int offset = 0;
+  for (const Tensor& p : parts) {
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < p.dim(1); ++j) {
+        ASSERT_EQ(c.at(i, offset + j), p.at(i, j));
+      }
+    }
+    offset += p.dim(1);
+  }
 }
 
 TEST(StackTest, AddsLeadingAxis) {

@@ -1,6 +1,7 @@
 // Kernel benchmark baseline recorder.
 //
-// Times the hot kernels (MatMul, row softmax, masked-neighbour-max, the
+// Times the hot kernels (MatMul, the attention layer's W10 merge / score
+// matvec / outer sum / head concat, row softmax, masked-neighbour-max, the
 // attention aggregator's full forward/backward step, and the dense-vs-CSR
 // density sweep behind the sparse dispatch threshold) at 1/2/4/N kernel
 // threads and writes BENCH_kernels.json: ns/op and items/s per kernel per
@@ -132,6 +133,45 @@ void MeasureKernels(int threads, bool large, std::vector<Measurement>* out) {
     });
     out->push_back({"matmul_" + std::to_string(n), threads, ns,
                     static_cast<double>(n) * n * n});
+  }
+  // Attention-shaped kernels of one PCG layer at n=512 (Eq. 15-18): the
+  // W10 head merge [n, 4n] x [4n, n], a [n, n] x [n, 1] score matvec, the
+  // s 1^T + 1 d^T outer sum, and the 4-head column concat.
+  {
+    constexpr int n = 512;
+    constexpr int heads = 4;
+    volatile float sink = 0;
+    const Tensor concat = Tensor::RandomNormal({n, heads * n}, 0, 1, &rng);
+    const Tensor w10 = Tensor::RandomNormal({heads * n, n}, 0, 1, &rng);
+    double ns = TimeNs([&] {
+      Tensor c = tensor::MatMul(concat, w10);
+      sink = sink + c.flat(0);
+    });
+    out->push_back({"matmul_512x2048x512", threads, ns,
+                    static_cast<double>(n) * heads * n * n});
+    const Tensor h = Tensor::RandomNormal({n, n}, 0, 1, &rng);
+    const Tensor a_src = Tensor::RandomNormal({n, 1}, 0, 1, &rng);
+    ns = TimeNs([&] {
+      Tensor c = tensor::MatMul(h, a_src);
+      sink = sink + c.flat(0);
+    });
+    out->push_back({"matvec_512", threads, ns, static_cast<double>(n) * n});
+    const Tensor dst = Tensor::RandomNormal({1, n}, 0, 1, &rng);
+    ns = TimeNs([&] {
+      Tensor c = tensor::Add(a_src, dst);
+      sink = sink + c.flat(0);
+    });
+    out->push_back({"outer_add_512", threads, ns, static_cast<double>(n) * n});
+    std::vector<Tensor> parts;
+    for (int u = 0; u < heads; ++u) {
+      parts.push_back(Tensor::RandomNormal({n, n}, 0, 1, &rng));
+    }
+    ns = TimeNs([&] {
+      Tensor c = tensor::Concat(parts, /*axis=*/1);
+      sink = sink + c.flat(0);
+    });
+    out->push_back({"concat_4x512", threads, ns,
+                    static_cast<double>(heads) * n * n});
   }
   for (int n : softmax_sizes) {
     const Tensor a = Tensor::RandomNormal({n, n}, 0, 1, &rng);

@@ -41,7 +41,9 @@
 // default), so two runs with the same seed replay the identical trip
 // stream — the knob BENCH_online.json-style drift scenarios pin.
 // Regenerate the tracked record from the repo root with:
-//   ./build/tools/stgnn_serve --shards 1,2,4 --out BENCH_serve.json
+//   ./build/tools/stgnn_serve --shards 1,2,4 --shard-n 1024 --out BENCH_serve.json
+// (the default --shard-n also sweeps the n=4096 city, which holds several
+// GB of flow matrices).
 
 #include <algorithm>
 #include <chrono>
@@ -121,6 +123,8 @@ struct RunResult {
   int64_t version_rejects = 0;
   int64_t retries = 0;
   int64_t halo_rows = 0;
+  // Wall time of the slot's context build (halo rounds) before the window.
+  double warm_build_ms = 0.0;
   int64_t batches = 0;
   int64_t assemblies = 0;
   uint64_t cache_hits = 0;
@@ -405,16 +409,22 @@ RunResult DriveFleet(Fixture* fixture, serve::ShardFleet* fleet,
   // The halo-exchange build is once per (slot, version) and amortises over
   // the slot's whole lifetime (slots are hours of wall-clock in
   // production), so it stays outside the timed window: the sweep measures
-  // steady-state replay throughput, the build cost is reported separately
-  // through the Router.Halo span and serve.shard.halo_rows.
+  // steady-state replay throughput, and the build is reported on its own
+  // (warm_build_ms, plus the halo rows it exchanged). The halo baseline is
+  // read before the build, which is the only place rows are exchanged.
+  const int64_t halo_before =
+      common::counters::FindOrCreate("serve.shard.halo_rows")->value();
+  const auto build_start = std::chrono::steady_clock::now();
   {
     const Status warmed =
         fleet->EnsureContext(fleet->next_slot(), fleet->current_version());
     STGNN_CHECK(warmed.ok()) << warmed.ToString();
   }
+  const double warm_build_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - build_start)
+          .count();
 
-  const int64_t halo_before =
-      common::counters::FindOrCreate("serve.shard.halo_rows")->value();
   const int window = router_options.num_workers;
   std::deque<std::future<serve::PredictResponse>> inflight;
   int64_t shed = 0;
@@ -481,6 +491,7 @@ RunResult DriveFleet(Fixture* fixture, serve::ShardFleet* fleet,
   result.halo_rows =
       common::counters::FindOrCreate("serve.shard.halo_rows")->value() -
       halo_before;
+  result.warm_build_ms = warm_build_ms;
   int64_t batches = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -547,12 +558,12 @@ int WriteJson(const std::string& path, const Options& options,
       std::fprintf(f,
                    "     \"router\": {\"fanouts\": %lld, \"merges\": %lld, "
                    "\"version_rejects\": %lld, \"retries\": %lld, "
-                   "\"halo_rows\": %lld},\n",
+                   "\"halo_rows\": %lld, \"warm_build_ms\": %.1f},\n",
                    static_cast<long long>(r.fanouts),
                    static_cast<long long>(r.merges),
                    static_cast<long long>(r.version_rejects),
                    static_cast<long long>(r.retries),
-                   static_cast<long long>(r.halo_rows));
+                   static_cast<long long>(r.halo_rows), r.warm_build_ms);
     }
     std::fprintf(f, "     \"batch_size_counts\": [");
     for (size_t b = 0; b < r.batch_size_counts.size(); ++b) {
@@ -854,6 +865,16 @@ int Main(const Options& options) {
                      static_cast<long long>(quant_tensors),
                      static_cast<long long>(quant_bytes),
                      static_cast<long long>(quant_batches));
+        return 1;
+      }
+    }
+    // A K > 1 fleet cuts the city, so building its slot context must
+    // exchange halo rows; zero means the tally is read in the wrong place.
+    for (const RunResult& r : runs) {
+      if (r.mode == "shard_mix" && r.shards > 1 && r.halo_rows <= 0) {
+        std::fprintf(stderr,
+                     "smoke FAILED: n=%d K=%d reported %lld halo rows\n",
+                     r.n, r.shards, static_cast<long long>(r.halo_rows));
         return 1;
       }
     }
