@@ -71,6 +71,7 @@ Result<EngineOutput> LocalEngine::Execute(int slot) {
   // both paths produce bitwise-equal rows.
   EngineOutput output;
   output.model_version = snapshot->version;
+  output.registry = registry_;
   Tensor full;
   if (snapshot->config.serve_cache) {
     std::shared_ptr<const SlotCacheEntry> cached =

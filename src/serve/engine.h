@@ -20,6 +20,10 @@ struct EngineOutput {
   // InferenceEngine::row_of).
   tensor::Tensor rows;
   uint64_t model_version = 0;
+  // The registry model_version was read from. While it still serves
+  // model_version, these rows are also the answer for requests that queued
+  // during the execution (PredictionService binds them late); null opts out.
+  const ModelRegistry* registry = nullptr;
   // True when this execution ran the cold prefix (window assembly,
   // embeddings, graph) instead of replaying a cached one.
   bool assembled = false;

@@ -1,19 +1,29 @@
 #include "serve/histogram.h"
 
+#include <bit>
 #include <cmath>
 
 namespace stgnn::serve {
 
 int LatencyHistogram::BucketFor(int64_t ns) {
-  if (ns <= static_cast<int64_t>(kBaseNs)) return 0;
-  const int bucket = static_cast<int>(
-      std::log(static_cast<double>(ns) / kBaseNs) / std::log(kGrowth));
-  return bucket >= kBuckets ? kBuckets - 1 : bucket;
+  const uint64_t v = ns < 0 ? 0 : static_cast<uint64_t>(ns);
+  if (v < static_cast<uint64_t>(kSubBuckets)) return static_cast<int>(v);
+  const int exponent = std::bit_width(v) - 1;  // v in [2^e, 2^(e+1))
+  if (exponent >= kMaxExponent) return kBuckets - 1;
+  // The top kSubBucketBits + 1 bits: mantissa in [kSubBuckets, 2 kSubBuckets).
+  const int shift = exponent - kSubBucketBits;
+  const int mantissa = static_cast<int>(v >> shift);
+  return shift * kSubBuckets + mantissa;
 }
 
 double LatencyHistogram::BucketMidpointNs(int bucket) {
-  // Geometric midpoint of [base * g^b, base * g^(b+1)).
-  return kBaseNs * std::pow(kGrowth, bucket + 0.5);
+  if (bucket < kSubBuckets) return bucket;
+  const int shift = bucket / kSubBuckets - 1;
+  const uint64_t mantissa = kSubBuckets + bucket % kSubBuckets;
+  const uint64_t lower = mantissa << shift;
+  if (bucket == kBuckets - 1) return static_cast<double>(lower);
+  return static_cast<double>(lower) +
+         static_cast<double>((uint64_t{1} << shift) - 1) / 2.0;
 }
 
 void LatencyHistogram::Record(int64_t ns) {

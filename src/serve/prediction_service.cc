@@ -1,6 +1,5 @@
 #include "serve/prediction_service.h"
 
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -10,6 +9,19 @@
 namespace stgnn::serve {
 
 using tensor::Tensor;
+
+namespace {
+
+int ResolvedSlot(const PredictRequest& request, int frontier) {
+  return request.slot == PredictRequest::kLatestSlot ? frontier
+                                                     : request.slot;
+}
+
+bool Expired(const PredictRequest& request, int64_t now) {
+  return request.deadline_ns > 0 && now > request.deadline_ns;
+}
+
+}  // namespace
 
 PredictionService::PredictionService(ModelRegistry* registry,
                                      FeatureRing* ring,
@@ -106,10 +118,7 @@ std::future<PredictResponse> PredictionService::SubmitAsync(
     Respond(&entry, std::move(response));
     return future;
   }
-  // With lingering workers, a notify_one can land on a worker whose
-  // fill-predicate is still false; wake everyone so an idle worker can
-  // always pick the queue up.
-  options_.batch_linger_us > 0 ? cv_.notify_all() : cv_.notify_one();
+  cv_.notify_one();
   return future;
 }
 
@@ -130,32 +139,15 @@ void PredictionService::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and queue drained
-      if (options_.batch_linger_us > 0 &&
-          static_cast<int>(queue_.size()) < options_.max_batch) {
-        cv_.wait_for(lock, std::chrono::microseconds(options_.batch_linger_us),
-                     [this] {
-                       return stop_ || static_cast<int>(queue_.size()) >=
-                                           options_.max_batch;
-                     });
-        // Another worker may have drained the queue while we lingered.
-        if (queue_.empty()) {
-          if (stop_) return;
-          continue;
-        }
-      }
       // Coalesce the longest front run of requests that resolve to the
       // same slot (FIFO order, so no request can be starved by batching).
       // "Latest" requests resolve against one frontier read per batch, so
       // every latest-request in the batch targets the same slot.
       const int frontier = engine_->next_slot();
-      auto resolve = [frontier](const Entry& e) {
-        return e.request.slot == PredictRequest::kLatestSlot ? frontier
-                                                             : e.request.slot;
-      };
-      resolved_slot = resolve(queue_.front());
+      resolved_slot = ResolvedSlot(queue_.front().request, frontier);
       while (!queue_.empty() &&
              static_cast<int>(batch.size()) < options_.max_batch &&
-             resolve(queue_.front()) == resolved_slot) {
+             ResolvedSlot(queue_.front().request, frontier) == resolved_slot) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
@@ -164,38 +156,66 @@ void PredictionService::WorkerLoop() {
   }
 }
 
+void PredictionService::ShedDeadline(int slot, std::vector<Entry>* expired) {
+  if (expired->empty()) return;
+  STGNN_COUNTER_ADD("serve.shed", expired->size());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.shed_deadline += static_cast<int64_t>(expired->size());
+  }
+  for (auto& entry : *expired) {
+    PredictResponse response;
+    response.kind = PredictResponse::Kind::kRejectedDeadline;
+    response.slot = slot;
+    Respond(&entry, std::move(response));
+  }
+}
+
+void PredictionService::BindLate(int slot, int frontier,
+                                 const EngineOutput& executed,
+                                 std::vector<Entry>* live) {
+  if (executed.registry == nullptr) return;
+  [[maybe_unused]] const size_t before = live->size();
+  std::vector<Entry> expired;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Read under mu_: every queued request was enqueued before these reads,
+    // so one submitted after a Push or Publish returned sees it moved.
+    if (engine_->next_slot() != frontier ||
+        executed.registry->current_version() != executed.model_version) {
+      return;
+    }
+    const int64_t now = common::trace::NowNs();
+    while (!queue_.empty() &&
+           static_cast<int>(live->size()) < options_.max_batch &&
+           ResolvedSlot(queue_.front().request, frontier) == slot) {
+      Entry& front = queue_.front();
+      (Expired(front.request, now) ? expired : *live)
+          .push_back(std::move(front));
+      queue_.pop_front();
+    }
+  }
+  STGNN_COUNTER_ADD("serve.late_bound", live->size() - before);
+  ShedDeadline(slot, &expired);
+}
+
 void PredictionService::ServeBatch(int slot, std::vector<Entry> batch) {
   STGNN_TRACE_SCOPE("Serve.Batch");
   // Stats are always updated BEFORE the corresponding promises are
   // fulfilled: a caller that returns from future.get() and immediately
   // reads stats() must see its own request accounted for.
 
-  // Deadline shedding happens at dequeue: a request that waited past its
-  // deadline gets a fast typed rejection instead of a stale prediction.
+  // Deadline shedding happens when a request is bound to a batch: one that
+  // waited past its deadline gets a fast typed rejection instead of a stale
+  // prediction.
   const int64_t now = common::trace::NowNs();
   std::vector<Entry> live;
   std::vector<Entry> expired;
   live.reserve(batch.size());
   for (auto& entry : batch) {
-    if (entry.request.deadline_ns > 0 && now > entry.request.deadline_ns) {
-      expired.push_back(std::move(entry));
-    } else {
-      live.push_back(std::move(entry));
-    }
+    (Expired(entry.request, now) ? expired : live).push_back(std::move(entry));
   }
-  if (!expired.empty()) {
-    STGNN_COUNTER_ADD("serve.shed", expired.size());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.shed_deadline += static_cast<int64_t>(expired.size());
-    }
-    for (auto& entry : expired) {
-      PredictResponse response;
-      response.kind = PredictResponse::Kind::kRejectedDeadline;
-      response.slot = slot;
-      Respond(&entry, std::move(response));
-    }
-  }
+  ShedDeadline(slot, &expired);
   if (live.empty()) return;
 
   auto fail_all = [this, &slot](std::vector<Entry>* entries,
@@ -215,6 +235,7 @@ void PredictionService::ServeBatch(int slot, std::vector<Entry> batch) {
 
   // The engine turns the slot into the full prediction rows for every
   // station it serves; one execution serves the whole micro-batch.
+  int frontier = engine_->next_slot();
   Result<EngineOutput> executed = engine_->Execute(slot);
   // The worker resolved "latest" from the frontier before executing. If
   // ingest has moved the frontier since, a precondition failure means the
@@ -238,13 +259,14 @@ void PredictionService::ServeBatch(int slot, std::vector<Entry> batch) {
     live = std::move(latest);
     if (live.empty()) return;
     STGNN_COUNTER_INC("serve.frontier_retries");
-    slot = engine_->next_slot();
+    slot = frontier = engine_->next_slot();
     executed = engine_->Execute(slot);
   }
   if (!executed.ok()) {
     fail_all(&live, executed.status());
     return;
   }
+  BindLate(slot, frontier, *executed, &live);
   const Tensor& full = (*executed).rows;
   const uint64_t version = (*executed).model_version;
   if ((*executed).assembled) {

@@ -22,8 +22,9 @@ namespace stgnn::serve {
 
 // One station-set query: "predict slot `slot` for these stations".
 struct PredictRequest {
-  // Resolves to the ring's ingest frontier at dequeue time — the next
-  // unobserved slot, which is what an online caller means by "now".
+  // Resolves to the ring's ingest frontier when the request is bound to a
+  // batch — the next unobserved slot, which is what an online caller means
+  // by "now".
   static constexpr int kLatestSlot = -1;
 
   int slot = kLatestSlot;
@@ -31,8 +32,8 @@ struct PredictRequest {
   // order. Empty means all stations.
   std::vector<int> stations;
   // Absolute deadline on the trace::NowNs() clock; 0 disables. A request
-  // whose deadline has passed when a worker picks it up is shed instead of
-  // served — bounded staleness instead of unbounded latency.
+  // whose deadline has passed when it is bound to a batch is shed instead
+  // of served — bounded staleness instead of unbounded latency.
   int64_t deadline_ns = 0;
 };
 
@@ -65,19 +66,13 @@ struct ServiceOptions {
   // serialised (the kernels already fan out on the shared thread pool, and
   // StgnnDjdModel::Forward caches attention for inspection), so extra
   // workers overlap feature assembly / response slicing with the forward.
+  // Requests that queue while a forward runs are bound to that forward
+  // when it finishes, so one worker already keeps batches full.
   int num_workers = 1;
-  // Pending station-set queries coalesced into one Forward call.
+  // Most station-set queries one engine execution serves.
   int max_batch = 16;
   // Bound on queued requests; submits beyond it are rejected immediately.
   int max_queue = 256;
-  // Dequeue linger: when a worker would start a batch smaller than
-  // max_batch, wait up to this long for the queue to fill before
-  // coalescing. 0 (default) dequeues immediately — the original behavior.
-  // At saturation with many submitter threads racing the workers, a few
-  // milliseconds of linger trades bounded extra queueing latency for
-  // consistently full batches (one engine execution serves the whole
-  // batch, so fuller batches are strictly higher throughput).
-  int64_t batch_linger_us = 0;
 };
 
 // Counts since construction. batch_size_counts[b] = number of micro-
@@ -100,12 +95,19 @@ struct ServiceStats {
 // In-process micro-batching inference service over an InferenceEngine.
 //
 // Request path: SubmitAsync bounds-checks the queue (admission control)
-// and enqueues; a worker drains up to max_batch queued requests that
-// resolve to the same slot, sheds any whose deadline has passed, runs one
-// engine execution for the slot, and slices each caller's station rows out
-// of the shared [rows, 2*horizon] output. Batching therefore amortises the
-// whole network forward across every query for the slot, and the
-// per-request work is O(stations requested).
+// and enqueues; a worker takes the queue's front run of requests that
+// resolve to the same slot (up to max_batch), sheds any whose deadline has
+// passed, and runs one engine execution for the slot. When it finishes,
+// the worker binds the requests that queued meanwhile for the same slot
+// to the same output (late binding, up to max_batch in total), as long as
+// the ring frontier and the registry's live version are still the ones
+// the execution used: both only move forward, so an unchanged pair means
+// a fresh execution would produce the same bits, and a request submitted
+// after a Push or Publish returned never gets the older slot or model.
+// Each caller's station rows are then sliced out of the shared
+// [rows, 2*horizon] output. Batching therefore amortises the whole
+// network forward across every query for the slot, and the per-request
+// work is O(stations requested).
 //
 // Every response is accounted exactly once: served, shed (queue_full /
 // deadline), or failed with a typed status — Stop() drains the queue
@@ -172,6 +174,14 @@ class PredictionService {
 
   void WorkerLoop();
   void ServeBatch(int slot, std::vector<Entry> batch);
+  // Moves the queue's front run of requests for `slot` into `live` (up to
+  // max_batch in total) when `executed` still answers them: the ring
+  // frontier is still `frontier` and the registry still serves its version.
+  // Expired requests of that run are shed.
+  void BindLate(int slot, int frontier, const EngineOutput& executed,
+                std::vector<Entry>* live);
+  // Answers `expired` with kRejectedDeadline.
+  void ShedDeadline(int slot, std::vector<Entry>* expired);
   // Fills the bookkeeping fields and fulfils the promise.
   void Respond(Entry* entry, PredictResponse response);
 

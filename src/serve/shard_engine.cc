@@ -307,6 +307,7 @@ Result<EngineOutput> ShardEngine::Execute(int slot) {
 
   EngineOutput output;
   output.model_version = ctx->model_version;
+  output.registry = registry_;
   output.assembled = false;
 
   STGNN_TRACE_SCOPE("Shard.Forward");

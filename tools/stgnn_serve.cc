@@ -14,6 +14,8 @@
 //     baseline the speedup claim is measured against;
 //   - "no_cache": the saturation load with the snapshot's serve_cache off,
 //     the baseline for the slot-cache p50/p99 claim.
+// Every run, unsharded or sharded, builds the frontier's slot context
+// before its clock starts and reports that build as warm_build_ms.
 // With --qps the saturation run becomes open-loop (paced submission), which
 // is what the CI smoke uses: a low rate that a healthy service must absorb
 // with zero sheds. The smoke additionally runs the load with the cache on
@@ -60,6 +62,7 @@
 
 #include "common/counters.h"
 #include "common/cpuid.h"
+#include "common/result.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -68,6 +71,7 @@
 #include "data/city_simulator.h"
 #include "data/flow_dataset.h"
 #include "graph/partition.h"
+#include "serve/engine.h"
 #include "serve/feature_ring.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
@@ -123,7 +127,8 @@ struct RunResult {
   int64_t version_rejects = 0;
   int64_t retries = 0;
   int64_t halo_rows = 0;
-  // Wall time of the slot's context build (halo rounds) before the window.
+  // Wall time of the slot's context build before the timed window (halo
+  // rounds for a fleet, one engine execution for the unsharded service).
   double warm_build_ms = 0.0;
   int64_t batches = 0;
   int64_t assemblies = 0;
@@ -302,8 +307,23 @@ RunResult Drive(const std::string& mode, Fixture* fixture,
                 const std::function<serve::PredictRequest(int)>& make_request =
                     nullptr) {
   fixture->Publish(serve_cache);
-  serve::PredictionService service(&fixture->registry, fixture->ring.get(),
-                                   service_options);
+  serve::LocalEngine engine(&fixture->registry, fixture->ring.get());
+  // As in DriveFleet, the frontier's context is built before the clock
+  // starts (it amortises over the slot's lifetime) and reported on its own
+  // as warm_build_ms. The warm-up calls the engine directly, so it is in no
+  // served count and no checksum. With the cache off it builds nothing that
+  // lasts, and warm_build_ms is one cold execution.
+  const auto build_start = std::chrono::steady_clock::now();
+  {
+    const Result<serve::EngineOutput> warmed =
+        engine.Execute(fixture->ring->next_slot());
+    STGNN_CHECK(warmed.ok()) << warmed.status().ToString();
+  }
+  const double warm_build_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - build_start)
+          .count();
+  serve::PredictionService service(&engine, service_options);
   service.Start();
 
   const int window = qps > 0.0 ? service_options.max_queue
@@ -377,6 +397,7 @@ RunResult Drive(const std::string& mode, Fixture* fixture,
   result.p99_us = hist.PercentileNs(99) / 1e3;
   result.serve_cache = serve_cache;
   result.checksum = checksum;
+  result.warm_build_ms = warm_build_ms;
   result.batches = stats.batches;
   result.assemblies = stats.assemblies;
   const serve::SlotCache::Stats& cache = service.cache_stats();
@@ -519,7 +540,7 @@ int WriteJson(const std::string& path, const Options& options,
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"stgnn-bench-serve-v4\",\n");
+  std::fprintf(f, "  \"schema\": \"stgnn-bench-serve-v5\",\n");
   std::fprintf(f, "  \"hardware_threads\": %d,\n", common::HardwareThreads());
   std::fprintf(f, "  \"isa\": \"%s\",\n",
                common::IsaName(common::ActiveIsa()));
@@ -537,7 +558,8 @@ int WriteJson(const std::string& path, const Options& options,
         "    {\"mode\": \"%s\", \"n\": %d, \"shards\": %d, \"workers\": %d, "
         "\"max_batch\": %d, \"requests\": %lld, \"served\": %lld, "
         "\"shed\": %lld, \"failed\": %lld, \"wall_s\": %.3f, "
-        "\"throughput_rps\": %.2f, \"mean_batch_size\": %.2f,\n"
+        "\"throughput_rps\": %.2f, \"mean_batch_size\": %.2f, "
+        "\"warm_build_ms\": %.1f,\n"
         "     \"latency_us\": {\"mean\": %.1f, \"p50\": %.1f, "
         "\"p95\": %.1f, \"p99\": %.1f},\n"
         "     \"serve_cache\": %s, \"checksum\": \"%016llx\",\n"
@@ -547,8 +569,9 @@ int WriteJson(const std::string& path, const Options& options,
         r.mode.c_str(), r.n, r.shards, r.workers, r.max_batch,
         static_cast<long long>(r.requests), static_cast<long long>(r.served),
         static_cast<long long>(r.shed), static_cast<long long>(r.failed),
-        r.wall_s, r.throughput_rps, r.mean_batch, r.mean_us, r.p50_us,
-        r.p95_us, r.p99_us, r.serve_cache ? "true" : "false",
+        r.wall_s, r.throughput_rps, r.mean_batch, r.warm_build_ms,
+        r.mean_us, r.p50_us, r.p95_us, r.p99_us,
+        r.serve_cache ? "true" : "false",
         static_cast<unsigned long long>(r.checksum),
         static_cast<unsigned long long>(r.cache_hits),
         static_cast<unsigned long long>(r.cache_misses),
@@ -558,12 +581,12 @@ int WriteJson(const std::string& path, const Options& options,
       std::fprintf(f,
                    "     \"router\": {\"fanouts\": %lld, \"merges\": %lld, "
                    "\"version_rejects\": %lld, \"retries\": %lld, "
-                   "\"halo_rows\": %lld, \"warm_build_ms\": %.1f},\n",
+                   "\"halo_rows\": %lld},\n",
                    static_cast<long long>(r.fanouts),
                    static_cast<long long>(r.merges),
                    static_cast<long long>(r.version_rejects),
                    static_cast<long long>(r.retries),
-                   static_cast<long long>(r.halo_rows), r.warm_build_ms);
+                   static_cast<long long>(r.halo_rows));
     }
     std::fprintf(f, "     \"batch_size_counts\": [");
     for (size_t b = 0; b < r.batch_size_counts.size(); ++b) {
@@ -683,13 +706,6 @@ int Main(const Options& options) {
     batched.num_workers = options.workers;
     batched.max_batch = options.max_batch;
     batched.max_queue = options.max_queue;
-    // The scaling series compares batch-formation-sensitive throughputs
-    // across K, and hundreds of submitter threads race the service
-    // workers; a dequeue linger of a fraction of one owned-row replay
-    // (which takes >100 ms at these sizes) keeps batches consistently
-    // full so the series measures sharding, not scheduler jitter.
-    // Applied to the unsharded baseline and every fleet alike.
-    batched.batch_linger_us = 20000;
     // Enough in-flight work to saturate the widest fleet's aggregate batch
     // capacity (K * max_batch); n >= 4096 keeps a token count — at that
     // size the sweep is a memory/parity check, not a scaling bench.
