@@ -25,21 +25,11 @@ std::shared_ptr<const QuantizedWeightSet> BuildQuantizedWeightSet(
     const tensor::Tensor& w = node->value;
     if (w.ndim() != 2 || w.dim(0) < 8 || w.dim(1) < 8) continue;
     if (excluded.count(node) != 0) continue;
-    QuantizedWeightEntry entry;
-    entry.precision = precision;
-    const int64_t fp32_bytes = w.size() * 4;
-    int64_t stored_bytes = 0;
-    if (precision == tensor::Precision::kInt8) {
-      entry.int8 = tensor::QuantizeInt8(w);
-      stored_bytes =
-          static_cast<int64_t>(entry.int8.packed.size()) +
-          static_cast<int64_t>(entry.int8.col_sums.size()) * 4;
-    } else {
-      entry.bf16 = tensor::QuantizeBf16(w);
-      stored_bytes = static_cast<int64_t>(entry.bf16.data.size()) * 2;
-    }
-    set->bytes_saved_ += fp32_bytes - stored_bytes;
-    set->entries_.emplace(node, std::move(entry));
+    tensor::QuantizedTensor q = tensor::QuantizeInt8(w);
+    const int64_t stored_bytes = static_cast<int64_t>(q.packed.size()) +
+                                 static_cast<int64_t>(q.col_sums.size()) * 4;
+    set->bytes_saved_ += w.size() * 4 - stored_bytes;
+    set->entries_.emplace(node, std::move(q));
   }
   STGNN_COUNTER_ADD("quant.tensors", set->tensors());
   STGNN_COUNTER_ADD("quant.bytes_saved", set->bytes_saved());
@@ -58,14 +48,6 @@ QuantizedInferenceScope::QuantizedInferenceScope(
 
 QuantizedInferenceScope::~QuantizedInferenceScope() {
   t_active_quantized = prev_;
-}
-
-tensor::Tensor QuantizedWeightMatMul(const tensor::Tensor& a,
-                                     const QuantizedWeightEntry& entry) {
-  if (entry.precision == tensor::Precision::kInt8) {
-    return tensor::QuantizedMatMul(a, entry.int8);
-  }
-  return tensor::Bf16MatMul(a, entry.bf16);
 }
 
 }  // namespace stgnn::autograd

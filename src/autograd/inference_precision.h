@@ -23,12 +23,6 @@
 
 namespace stgnn::autograd {
 
-struct QuantizedWeightEntry {
-  tensor::Precision precision = tensor::Precision::kFp32;
-  tensor::QuantizedTensor int8;  // when precision == kInt8
-  tensor::Bf16Tensor bf16;       // when precision == kBf16
-};
-
 class QuantizedWeightSet {
  public:
   tensor::Precision precision() const { return precision_; }
@@ -37,7 +31,7 @@ class QuantizedWeightSet {
   // fp32 bytes minus reduced-precision bytes across all entries.
   int64_t bytes_saved() const { return bytes_saved_; }
 
-  const QuantizedWeightEntry* Find(const Node* node) const {
+  const tensor::QuantizedTensor* Find(const Node* node) const {
     auto it = entries_.find(node);
     return it == entries_.end() ? nullptr : &it->second;
   }
@@ -49,7 +43,7 @@ class QuantizedWeightSet {
 
   tensor::Precision precision_ = tensor::Precision::kFp32;
   int64_t bytes_saved_ = 0;
-  std::unordered_map<const Node*, QuantizedWeightEntry> entries_;
+  std::unordered_map<const Node*, tensor::QuantizedTensor> entries_;
 };
 
 // Quantizes every eligible parameter to `precision`. Eligible: 2-D, both
@@ -82,11 +76,6 @@ class QuantizedInferenceScope {
  private:
   const QuantizedWeightSet* prev_;
 };
-
-// The quantized product for a registered weight entry (dispatched int8
-// qgemm or bf16 dequant + fp32 MatMul).
-tensor::Tensor QuantizedWeightMatMul(const tensor::Tensor& a,
-                                     const QuantizedWeightEntry& entry);
 
 }  // namespace stgnn::autograd
 

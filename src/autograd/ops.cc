@@ -325,8 +325,8 @@ Variable MatMul(const Variable& a, const Variable& b) {
   // from autograd (a Constant). Training threads never enter a scope, so
   // this branch is dead there and the fp32 graph is untouched.
   if (const QuantizedWeightSet* qw = ActiveQuantizedWeights()) {
-    if (const QuantizedWeightEntry* entry = qw->Find(b.node().get())) {
-      return Variable::Constant(QuantizedWeightMatMul(a.value(), *entry));
+    if (const tensor::QuantizedTensor* q = qw->Find(b.node().get())) {
+      return Variable::Constant(tensor::QuantizedMatMul(a.value(), *q));
     }
   }
   auto node = MakeNode(tensor::MatMul(a.value(), b.value()), {a, b});

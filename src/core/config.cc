@@ -33,7 +33,7 @@ tensor::Precision DefaultInferPrecision() {
   if (!tensor::ParsePrecision(env, &parsed)) {
     std::fprintf(stderr,
                  "stgnn: STGNN_INFER_PRECISION=%s not recognised "
-                 "(want fp32|bf16|int8); using fp32\n",
+                 "(want fp32|int8); using fp32\n",
                  env);
     return tensor::Precision::kFp32;
   }

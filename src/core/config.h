@@ -36,7 +36,7 @@ bool DefaultBufferPoolEnabled();
 bool DefaultServeCacheEnabled();
 
 // Default for StgnnConfig::infer_precision: the STGNN_INFER_PRECISION
-// environment variable (fp32|bf16|int8; unknown values warn and fall back),
+// environment variable (fp32|int8; unknown values warn and fall back),
 // else fp32.
 tensor::Precision DefaultInferPrecision();
 
@@ -97,8 +97,8 @@ struct StgnnConfig {
   bool serve_cache = DefaultServeCacheEnabled();
   // Weight precision for the *inference* forward (PredictionService and
   // StgnnDjdPredictor::Predict/PredictHorizon). fp32 is the bit-exact
-  // default; bf16/int8 snapshot eligible weights at reduced precision for
-  // a faster, smaller serving path gated by an RMSE-delta regression
+  // default; int8 snapshots eligible weights at reduced precision for a
+  // faster, smaller serving path gated by an RMSE-delta regression
   // (tests/quantize_test.cc), not bitwise parity. Training always runs
   // fp32 regardless of this knob. Defaults from STGNN_INFER_PRECISION.
   tensor::Precision infer_precision = DefaultInferPrecision();

@@ -82,10 +82,9 @@ Result<EngineOutput> LocalEngine::Execute(int slot) {
       auto fresh = std::make_shared<SlotCacheEntry>();
       fresh->slot = slot;
       fresh->model_version = snapshot->version;
-      fresh->history = std::move(*history);
       {
         std::lock_guard<std::mutex> exec_lock(exec_mu_);
-        fresh->embeddings = snapshot->model->ComputeEmbeddings(fresh->history);
+        fresh->embeddings = snapshot->model->ComputeEmbeddings(*history);
         if (snapshot->model->uses_fcg()) {
           fresh->graph = snapshot->model->BuildGraph(fresh->embeddings);
           fresh->has_graph = true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -38,7 +37,7 @@ Status CheckShardableConfig(const core::StgnnConfig& config) {
 // cache for the replays' [n, f] working sets — measured ~10% aggregate
 // throughput loss at K=4 — without adding any work rate. In-flight replays
 // are therefore capped at the spare hardware parallelism: cores not already
-// consumed by one replay's kernel fan-out (STGNN_REPLAY_SLOTS overrides).
+// consumed by one replay's kernel fan-out.
 // Build rounds are not gated; they run once per (slot, snapshot).
 class ReplayGate {
  public:
@@ -63,14 +62,8 @@ class ReplayGate {
 
  private:
   ReplayGate() {
-    const char* env = std::getenv("STGNN_REPLAY_SLOTS");
-    if (env != nullptr && std::atoi(env) > 0) {
-      slots_ = std::atoi(env);
-    } else {
-      const int cores =
-          std::max(1u, std::thread::hardware_concurrency());
-      slots_ = std::max(1, cores / std::max(1, common::GetNumThreads()));
-    }
+    const int cores = std::max(1u, std::thread::hardware_concurrency());
+    slots_ = std::max(1, cores / std::max(1, common::GetNumThreads()));
   }
 
   std::mutex mu_;

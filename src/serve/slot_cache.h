@@ -13,20 +13,19 @@
 #include "common/counters.h"
 #include "common/trace.h"
 #include "core/stgnn_djd.h"
-#include "data/window.h"
 #include "serve/feature_ring.h"
 
 namespace stgnn::serve {
 
 // One memoised serving prefix: everything StgnnDjdModel::Forward computes
 // before the GNN/attention/fusion head, for one (slot, model snapshot).
-// Immutable once inserted; requests hold it through a shared_ptr, so an
-// eviction or invalidation never tears a batch that already looked it up.
+// The stage-1 flow window is not kept: it is read once, for the
+// embeddings, and would pin 9 x 2 x n^2 floats per entry. Immutable once
+// inserted; requests hold it through a shared_ptr, so an eviction or
+// invalidation never tears a batch that already looked it up.
 struct SlotCacheEntry {
   int slot = -1;
   uint64_t model_version = 0;
-  // Stage 1: the assembled flow window (FeatureRing::History output).
-  data::StHistory history;
   // Stage 2: flow-convolution embeddings (value tensors, no autograd).
   core::StgnnDjdModel::Embeddings embeddings;
   // Stage 3: the slot's FCG — pattern plus Eq. (10) weights. Undefined

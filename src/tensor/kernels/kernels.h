@@ -10,6 +10,12 @@
 // int8 inference GEMM. One KernelTable per ISA; the active table is
 // selected at runtime from common::ActiveIsa() (STGNN_ISA overridable).
 //
+// The scalar table (kernels_scalar.cc) is the hand-written reference. The
+// vector tables instantiate one body per kernel from vector_kernels.h over
+// a lane-width trait: Avx2 (kernels_avx2.cc), Avx512 (avx512_trait.h, used
+// by kernels_avx512.cc) and Avx512Vnni (kernels_avx512vnni.cc), which
+// differs from Avx512 only in its u8*s8 dot step.
+//
 // Parity contract — every fp32 variant is bit-identical to the scalar
 // reference:
 //   * All variants accumulate each output element with fused multiply-adds
@@ -125,10 +131,11 @@ struct KernelTable {
 };
 
 // Scalar reference implementations (std::fmaf, -ffp-contract=off). Vector
-// variants delegate tails to these, which keeps the parity argument trivial
-// for every remainder case; the k-block kernels instead run edge tiles as
-// full vector tiles on zero-padded staging copies (padding lanes are
-// dropped, live lanes keep their own chains).
+// variants run tails through these or through inline copies of the same
+// per-element sequence, which keeps the parity argument trivial for every
+// remainder case; the k-block kernels instead run edge tiles as full vector
+// tiles on zero-padded staging copies (padding lanes are dropped, live
+// lanes keep their own chains).
 void ScalarMatMulSmall(const float* a, const float* b, float* out, int m,
                        int k, int n);
 void ScalarMatMulKBlock(const float* a, int lda, const float* panel,

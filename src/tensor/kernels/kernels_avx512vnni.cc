@@ -20,169 +20,18 @@
 
 #if defined(__AVX512VNNI__)
 
-#include <immintrin.h>
-
-#include <cstring>
+#include "tensor/kernels/avx512_trait.h"
+#include "tensor/kernels/vector_kernels.h"
 
 namespace stgnn::tensor::kernels {
 namespace {
 
-// One row, columns [j, n): 16-wide strips plus a scalar column tail.
-// Integer accumulation is exact, so every tiling of the same dot products
-// produces identical bits — remainder handling needs no parity care.
-void QgemmRowTailVnni(const uint8_t* arow, float row_scale,
-                      const int8_t* packed_b, const int32_t* col_sums,
-                      float* orow, int j, int64_t k4, int n) {
-  const __m512 scale = _mm512_set1_ps(row_scale);
-  for (; j + 16 <= n; j += 16) {
-    __m512i acc = _mm512_setzero_si512();
-    for (int64_t p4 = 0; p4 < k4; ++p4) {
-      int abits;
-      std::memcpy(&abits, arow + p4 * 4, sizeof(abits));
-      const __m512i av = _mm512_set1_epi32(abits);
-      const __m512i bv = _mm512_loadu_si512(packed_b + (p4 * n + j) * 4);
-      acc = _mm512_dpbusd_epi32(acc, av, bv);
-    }
-    const __m512i corr =
-        _mm512_slli_epi32(_mm512_loadu_si512(col_sums + j), 6);
-    const __m512 dq = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, corr));
-    _mm512_storeu_ps(orow + j, _mm512_mul_ps(dq, scale));
-  }
-  for (; j < n; ++j) {
-    int32_t acc = 0;
-    for (int64_t p4 = 0; p4 < k4; ++p4) {
-      const uint8_t* aq = arow + p4 * 4;
-      const int8_t* bq = packed_b + (p4 * n + j) * 4;
-      acc += static_cast<int32_t>(aq[0]) * bq[0];
-      acc += static_cast<int32_t>(aq[1]) * bq[1];
-      acc += static_cast<int32_t>(aq[2]) * bq[2];
-      acc += static_cast<int32_t>(aq[3]) * bq[3];
-    }
-    orow[j] = static_cast<float>(acc - 64 * col_sums[j]) * row_scale;
-  }
-}
-
-void QgemmRowsVnni(const uint8_t* qa, const float* row_scale,
-                   const int8_t* packed_b, const int32_t* col_sums,
-                   float* out, int64_t row_begin, int64_t row_end,
-                   int64_t k4, int n) {
-  int64_t i = row_begin;
-  // Same 4-row x 64-column register tile as the AVX-512 kernel: each
-  // 64-byte load of packed B feeds four rows. With the MAC sequence down
-  // to one port-5 instruction, the tile is what keeps B traffic (not the
-  // multiply) off the critical path.
-  for (; i + kQgemmRowTile <= row_end; i += 4) {
-    const uint8_t* a0 = qa + (i + 0) * k4 * 4;
-    const uint8_t* a1 = qa + (i + 1) * k4 * 4;
-    const uint8_t* a2 = qa + (i + 2) * k4 * 4;
-    const uint8_t* a3 = qa + (i + 3) * k4 * 4;
-    int j = 0;
-    for (; j + 64 <= n; j += 64) {
-      __m512i c00 = _mm512_setzero_si512(), c01 = _mm512_setzero_si512();
-      __m512i c02 = _mm512_setzero_si512(), c03 = _mm512_setzero_si512();
-      __m512i c10 = _mm512_setzero_si512(), c11 = _mm512_setzero_si512();
-      __m512i c12 = _mm512_setzero_si512(), c13 = _mm512_setzero_si512();
-      __m512i c20 = _mm512_setzero_si512(), c21 = _mm512_setzero_si512();
-      __m512i c22 = _mm512_setzero_si512(), c23 = _mm512_setzero_si512();
-      __m512i c30 = _mm512_setzero_si512(), c31 = _mm512_setzero_si512();
-      __m512i c32 = _mm512_setzero_si512(), c33 = _mm512_setzero_si512();
-      for (int64_t p4 = 0; p4 < k4; ++p4) {
-        const int8_t* bp = packed_b + (p4 * n + j) * 4;
-        const __m512i b0 = _mm512_loadu_si512(bp);
-        const __m512i b1 = _mm512_loadu_si512(bp + 64);
-        const __m512i b2 = _mm512_loadu_si512(bp + 128);
-        const __m512i b3 = _mm512_loadu_si512(bp + 192);
-        int abits;
-        std::memcpy(&abits, a0 + p4 * 4, sizeof(abits));
-        __m512i av = _mm512_set1_epi32(abits);
-        c00 = _mm512_dpbusd_epi32(c00, av, b0);
-        c01 = _mm512_dpbusd_epi32(c01, av, b1);
-        c02 = _mm512_dpbusd_epi32(c02, av, b2);
-        c03 = _mm512_dpbusd_epi32(c03, av, b3);
-        std::memcpy(&abits, a1 + p4 * 4, sizeof(abits));
-        av = _mm512_set1_epi32(abits);
-        c10 = _mm512_dpbusd_epi32(c10, av, b0);
-        c11 = _mm512_dpbusd_epi32(c11, av, b1);
-        c12 = _mm512_dpbusd_epi32(c12, av, b2);
-        c13 = _mm512_dpbusd_epi32(c13, av, b3);
-        std::memcpy(&abits, a2 + p4 * 4, sizeof(abits));
-        av = _mm512_set1_epi32(abits);
-        c20 = _mm512_dpbusd_epi32(c20, av, b0);
-        c21 = _mm512_dpbusd_epi32(c21, av, b1);
-        c22 = _mm512_dpbusd_epi32(c22, av, b2);
-        c23 = _mm512_dpbusd_epi32(c23, av, b3);
-        std::memcpy(&abits, a3 + p4 * 4, sizeof(abits));
-        av = _mm512_set1_epi32(abits);
-        c30 = _mm512_dpbusd_epi32(c30, av, b0);
-        c31 = _mm512_dpbusd_epi32(c31, av, b1);
-        c32 = _mm512_dpbusd_epi32(c32, av, b2);
-        c33 = _mm512_dpbusd_epi32(c33, av, b3);
-      }
-      const __m512i k0 =
-          _mm512_slli_epi32(_mm512_loadu_si512(col_sums + j), 6);
-      const __m512i k1 =
-          _mm512_slli_epi32(_mm512_loadu_si512(col_sums + j + 16), 6);
-      const __m512i k2 =
-          _mm512_slli_epi32(_mm512_loadu_si512(col_sums + j + 32), 6);
-      const __m512i k3 =
-          _mm512_slli_epi32(_mm512_loadu_si512(col_sums + j + 48), 6);
-      const __m512 s0 = _mm512_set1_ps(row_scale[i + 0]);
-      const __m512 s1 = _mm512_set1_ps(row_scale[i + 1]);
-      const __m512 s2 = _mm512_set1_ps(row_scale[i + 2]);
-      const __m512 s3 = _mm512_set1_ps(row_scale[i + 3]);
-      float* o0 = out + (i + 0) * n + j;
-      float* o1 = out + (i + 1) * n + j;
-      float* o2 = out + (i + 2) * n + j;
-      float* o3 = out + (i + 3) * n + j;
-      _mm512_storeu_ps(o0, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c00, k0)), s0));
-      _mm512_storeu_ps(o0 + 16, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c01, k1)), s0));
-      _mm512_storeu_ps(o0 + 32, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c02, k2)), s0));
-      _mm512_storeu_ps(o0 + 48, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c03, k3)), s0));
-      _mm512_storeu_ps(o1, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c10, k0)), s1));
-      _mm512_storeu_ps(o1 + 16, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c11, k1)), s1));
-      _mm512_storeu_ps(o1 + 32, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c12, k2)), s1));
-      _mm512_storeu_ps(o1 + 48, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c13, k3)), s1));
-      _mm512_storeu_ps(o2, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c20, k0)), s2));
-      _mm512_storeu_ps(o2 + 16, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c21, k1)), s2));
-      _mm512_storeu_ps(o2 + 32, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c22, k2)), s2));
-      _mm512_storeu_ps(o2 + 48, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c23, k3)), s2));
-      _mm512_storeu_ps(o3, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c30, k0)), s3));
-      _mm512_storeu_ps(o3 + 16, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c31, k1)), s3));
-      _mm512_storeu_ps(o3 + 32, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c32, k2)), s3));
-      _mm512_storeu_ps(o3 + 48, _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(c33, k3)), s3));
-    }
-    if (j < n) {
-      QgemmRowTailVnni(a0, row_scale[i + 0], packed_b, col_sums,
-                       out + (i + 0) * n, j, k4, n);
-      QgemmRowTailVnni(a1, row_scale[i + 1], packed_b, col_sums,
-                       out + (i + 1) * n, j, k4, n);
-      QgemmRowTailVnni(a2, row_scale[i + 2], packed_b, col_sums,
-                       out + (i + 2) * n, j, k4, n);
-      QgemmRowTailVnni(a3, row_scale[i + 3], packed_b, col_sums,
-                       out + (i + 3) * n, j, k4, n);
-    }
-  }
-  for (; i < row_end; ++i) {
-    QgemmRowTailVnni(qa + i * k4 * 4, row_scale[i], packed_b, col_sums,
-                     out + i * n, 0, k4, n);
-  }
-}
+// With the MAC sequence down to one port-5 instruction, the shared 4-row
+// register tile is what keeps B traffic (not the multiply) off the
+// critical path.
+struct Avx512Vnni : Avx512 {
+  static I DotU8S8(I acc, I a, I b) { return _mm512_dpbusd_epi32(acc, a, b); }
+};
 
 }  // namespace
 
@@ -193,7 +42,7 @@ const KernelTable& Avx512VnniKernels() {
     KernelTable t = Avx512Kernels();
     t.isa = common::Isa::kAvx512Vnni;
     t.name = "avx512vnni";
-    t.qgemm_rows = &QgemmRowsVnni;
+    t.qgemm_rows = &VecQgemmRows<Avx512Vnni>;
     return t;
   }();
   return table;

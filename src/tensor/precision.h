@@ -6,37 +6,30 @@
 namespace stgnn::tensor {
 
 // Inference weight precision tier. kFp32 is the default and the only tier
-// training ever sees; kBf16/kInt8 apply to inference-only weight snapshots
-// (see tensor/quantized.h) and are gated by an RMSE-delta regression, not
-// bitwise parity.
+// training ever sees; kInt8 applies to inference-only weight snapshots (see
+// tensor/quantized.h) and is gated by an RMSE-delta regression, not bitwise
+// parity.
 enum class Precision {
-  kFp32 = 0,
-  kBf16 = 1,
-  kInt8 = 2,
+  kFp32,
+  kInt8,
 };
 
 inline const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kFp32:
       return "fp32";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }
   return "fp32";
 }
 
-// Parses "fp32"/"bf16"/"int8". Returns false on unknown input and leaves
+// Parses "fp32"/"int8". Returns false on unknown input and leaves
 // *out untouched.
 inline bool ParsePrecision(const char* text, Precision* out) {
   if (text == nullptr) return false;
   if (std::strcmp(text, "fp32") == 0) {
     *out = Precision::kFp32;
-    return true;
-  }
-  if (std::strcmp(text, "bf16") == 0) {
-    *out = Precision::kBf16;
     return true;
   }
   if (std::strcmp(text, "int8") == 0) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/buffer_pool.h"
 #include "common/counters.h"
@@ -21,15 +20,6 @@ inline int8_t ClampToInt8(float scaled, int limit) {
 }
 
 }  // namespace
-
-uint16_t Bf16FromFloat(float x) {
-  uint32_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  // Round to nearest, ties to even on the truncated 16 low bits.
-  const uint32_t lsb = (bits >> 16) & 1u;
-  bits += 0x7FFFu + lsb;
-  return static_cast<uint16_t>(bits >> 16);
-}
 
 QuantizedTensor QuantizeInt8(const Tensor& w) {
   STGNN_CHECK_EQ(w.ndim(), 2);
@@ -73,28 +63,6 @@ Tensor DequantizeInt8(const QuantizedTensor& q) {
               q.packed[static_cast<size_t>((p4 * q.cols + j) * 4 + lane)]) *
           q.scale;
     }
-  }
-  return out;
-}
-
-Bf16Tensor QuantizeBf16(const Tensor& w) {
-  STGNN_CHECK_EQ(w.ndim(), 2);
-  Bf16Tensor q;
-  q.rows = w.dim(0);
-  q.cols = w.dim(1);
-  q.data.resize(static_cast<size_t>(w.size()));
-  const float* d = w.data().data();
-  for (int64_t i = 0; i < w.size(); ++i) {
-    q.data[static_cast<size_t>(i)] = Bf16FromFloat(d[i]);
-  }
-  return q;
-}
-
-Tensor DequantizeBf16(const Bf16Tensor& q) {
-  Tensor out({q.rows, q.cols});
-  float* d = out.mutable_data().data();
-  for (size_t i = 0; i < q.data.size(); ++i) {
-    d[i] = Bf16ToFloat(q.data[i]);
   }
   return out;
 }
@@ -146,19 +114,6 @@ Tensor QuantizedMatMul(const Tensor& a, const QuantizedTensor& b) {
       });
   common::BufferPool::Global()->Release(std::move(scratch));
   return out;
-}
-
-Tensor Bf16MatMul(const Tensor& a, const Bf16Tensor& b) {
-  STGNN_CHECK_EQ(a.ndim(), 2);
-  STGNN_CHECK_EQ(a.dim(1), b.rows);
-  STGNN_TRACE_SCOPE("Bf16MatMul");
-  STGNN_COUNTER_INC("op.bf16_matmul");
-  Tensor dense = Tensor::Uninitialized({b.rows, b.cols});
-  float* d = dense.mutable_data().data();
-  for (size_t i = 0; i < b.data.size(); ++i) {
-    d[i] = Bf16ToFloat(b.data[i]);
-  }
-  return MatMul(a, dense);
 }
 
 }  // namespace stgnn::tensor

@@ -6,21 +6,16 @@
 
 #include "tensor/tensor.h"
 
-// Reduced-precision weight storage for the inference-only quantized path.
-//
-// int8: per-tensor symmetric quantisation (scale = absmax / 127) of a
-// [k, n] weight used as a MatMul right-hand side, stored in the
-// K/4-interleaved layout the dispatched qgemm kernels consume:
+// int8 weight storage for the inference-only quantized path: per-tensor
+// symmetric quantisation (scale = absmax / 127) of a [k, n] weight used as
+// a MatMul right-hand side, stored in the K/4-interleaved layout the
+// dispatched qgemm kernels consume:
 //   packed[(p4 * n + j) * 4 + q] = q8(4*p4 + q, j)   (k zero-padded to 4)
 // Activations are quantised per row on the fly (scale = rowmax / 63,
 // zero-point +64 so the u8*s8 pair sums stay below the s16 saturation
 // point); the integer accumulation is exact, so the quantized product is
 // bitwise identical across ISAs — its *accuracy* vs fp32 is what the
 // RMSE-delta regression in tests/quantize_test.cc gates.
-//
-// bf16: round-to-nearest-even truncation of each weight to 16 bits;
-// matmuls dequantise into a pooled fp32 buffer and run the normal kernels
-// (O(k*n) dequant amortised against the O(m*k*n) product).
 
 namespace stgnn::tensor {
 
@@ -32,37 +27,14 @@ struct QuantizedTensor {
   std::vector<int32_t> col_sums;  // [n], sum_p q8(p, j) for the zero-point
 };
 
-struct Bf16Tensor {
-  int rows = 0;
-  int cols = 0;
-  std::vector<uint16_t> data;  // row-major [rows, cols]
-};
-
-// Round-to-nearest-even bf16 conversion of a finite float.
-uint16_t Bf16FromFloat(float x);
-inline float Bf16ToFloat(uint16_t b) {
-  union {
-    uint32_t u;
-    float f;
-  } bits;
-  bits.u = static_cast<uint32_t>(b) << 16;
-  return bits.f;
-}
-
 // Per-tensor symmetric int8 quantisation of a 2-D weight.
 QuantizedTensor QuantizeInt8(const Tensor& w);
 // Dense fp32 reconstruction (tests and round-trip bounds).
 Tensor DequantizeInt8(const QuantizedTensor& q);
 
-Bf16Tensor QuantizeBf16(const Tensor& w);
-Tensor DequantizeBf16(const Bf16Tensor& q);
-
 // out = a (fp32 [m, k]) x b (int8 [k, n]) with on-the-fly per-row
 // activation quantisation, through the dispatched qgemm kernel.
 Tensor QuantizedMatMul(const Tensor& a, const QuantizedTensor& b);
-
-// out = a x dequantise(b) through the normal fp32 MatMul.
-Tensor Bf16MatMul(const Tensor& a, const Bf16Tensor& b);
 
 }  // namespace stgnn::tensor
 

@@ -1,10 +1,10 @@
-// Tests for the inference-only quantized weight path: int8 and bf16
-// round-trip error bounds, per-tensor scale selection, eligibility and
-// exclusion rules of BuildQuantizedWeightSet, the thread-local scope that
-// routes ag::MatMul through the quantized kernels, and — the gate that
-// lets the path ship — an end-to-end RMSE-delta regression on the golden
-// fixed-seed config: serving a trained model through int8/bf16 weights may
-// move test RMSE only marginally relative to fp32.
+// Tests for the inference-only quantized weight path: int8 round-trip
+// error bounds, per-tensor scale selection, eligibility and exclusion rules
+// of BuildQuantizedWeightSet, the thread-local scope that routes
+// ag::MatMul through the quantized kernels, and — the gate that lets the
+// path ship — an end-to-end RMSE-delta regression on the golden fixed-seed
+// config: serving a trained model through int8 weights may move test RMSE
+// only marginally relative to fp32.
 //
 // Training must never touch quantized weights: two trainings that differ
 // only in infer_precision produce bit-identical parameters.
@@ -70,27 +70,6 @@ TEST(Quantize, Int8RoundTripBoundAndScaleSelection) {
   EXPECT_NEAR(back.flat(arg), w.flat(arg), 1e-6f * absmax);
 }
 
-TEST(Quantize, Bf16RoundTripBound) {
-  common::Rng rng(12);
-  const Tensor w = RandomTensor({8, 40}, &rng, -10.0f, 10.0f);
-  const tensor::Bf16Tensor q = tensor::QuantizeBf16(w);
-  const Tensor back = tensor::DequantizeBf16(q);
-  for (int64_t i = 0; i < w.size(); ++i) {
-    // Round-to-nearest-even with an 8-bit significand (7 stored mantissa
-    // bits): relative error <= 2^-8.
-    EXPECT_LE(std::fabs(back.flat(i) - w.flat(i)),
-              std::ldexp(std::fabs(w.flat(i)), -8) + 1e-30f)
-        << "element " << i;
-  }
-  // Values with a short mantissa are exact in bf16.
-  Tensor exact({1, 4}, {1.0f, -2.5f, 0.15625f, 384.0f});
-  const Tensor round_trip =
-      tensor::DequantizeBf16(tensor::QuantizeBf16(exact));
-  for (int64_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(round_trip.flat(i), exact.flat(i));
-  }
-}
-
 TEST(Quantize, QuantizedMatMulTracksFp32) {
   common::Rng rng(13);
   const Tensor a = RandomTensor({10, 33}, &rng);
@@ -98,21 +77,16 @@ TEST(Quantize, QuantizedMatMulTracksFp32) {
   const Tensor exact = tensor::MatMul(a, w);
 
   const Tensor int8 = tensor::QuantizedMatMul(a, tensor::QuantizeInt8(w));
-  const Tensor bf16 = tensor::Bf16MatMul(a, tensor::QuantizeBf16(w));
   ASSERT_EQ(int8.size(), exact.size());
-  ASSERT_EQ(bf16.size(), exact.size());
-  double ref_norm = 0.0, int8_err = 0.0, bf16_err = 0.0;
+  double ref_norm = 0.0, int8_err = 0.0;
   for (int64_t i = 0; i < exact.size(); ++i) {
     ref_norm += static_cast<double>(exact.flat(i)) * exact.flat(i);
     const double di = int8.flat(i) - exact.flat(i);
-    const double db = bf16.flat(i) - exact.flat(i);
     int8_err += di * di;
-    bf16_err += db * db;
   }
   // 7-bit weights + 6-bit activations: a couple percent relative Frobenius
-  // error; bf16 keeps 8 mantissa bits and lands well under 1%.
+  // error.
   EXPECT_LT(std::sqrt(int8_err / ref_norm), 0.03);
-  EXPECT_LT(std::sqrt(bf16_err / ref_norm), 0.01);
 }
 
 TEST(Quantize, BuildSetEligibilityAndExclusion) {
@@ -229,30 +203,13 @@ TEST(Quantize, GoldenRmseDeltaGateAndTrainingUntouched) {
   }
 
   // The RMSE-delta gate: reduced-precision serving may move the golden
-  // test RMSE only marginally. 3% for int8 (7-bit weights), 1% for bf16.
+  // test RMSE only marginally: 3% for int8 (7-bit weights).
   const eval::Metrics int8_metrics = Evaluate(&int8);
   EXPECT_EQ(int8_metrics.count, fp32_metrics.count);
   EXPECT_LE(std::fabs(int8_metrics.rmse - fp32_metrics.rmse),
             0.03 * fp32_metrics.rmse)
       << "fp32 rmse " << fp32_metrics.rmse << " int8 rmse "
       << int8_metrics.rmse;
-
-  // bf16 via the ambient scope over the *same* trained weights (the scope
-  // applies wherever the snapshot's owner did not install one itself).
-  const auto bf16_set =
-      fp32.model()->QuantizeWeights(tensor::Precision::kBf16);
-  ASSERT_NE(bf16_set, nullptr);
-  EXPECT_GT(bf16_set->tensors(), 0);
-  eval::Metrics bf16_metrics;
-  {
-    ag::QuantizedInferenceScope scope(bf16_set.get());
-    bf16_metrics = Evaluate(&fp32);
-  }
-  EXPECT_EQ(bf16_metrics.count, fp32_metrics.count);
-  EXPECT_LE(std::fabs(bf16_metrics.rmse - fp32_metrics.rmse),
-            0.01 * fp32_metrics.rmse)
-      << "fp32 rmse " << fp32_metrics.rmse << " bf16 rmse "
-      << bf16_metrics.rmse;
 
   // The int8 serving path must actually differ from fp32 — a quantized
   // path that silently falls back to fp32 would pass the delta gate.

@@ -256,7 +256,11 @@ TEST(SimdKernels, QuantizedGemmBitwiseParityAcrossIsas) {
   DispatchGuard guard;
   const struct {
     int m, k, n;
-  } kShapes[] = {{3, 9, 11}, {17, 31, 67}, {8, 64, 64}};
+  } kShapes[] = {{3, 9, 11},  {17, 31, 67},  {8, 64, 64},
+                 // Row-tail vector strips that start after a 4-row tile's
+                 // columns (j > 0), and k past one 32-float AVX2 quantize
+                 // block plus a tail.
+                 {5, 33, 17}, {9, 100, 90}, {4, 130, 130}};
   for (const auto& s : kShapes) {
     common::Rng rng(5000 + s.n);
     const Tensor a = RandomTensor({s.m, s.k}, &rng);

@@ -277,8 +277,8 @@ struct E2eMeasurement {
   double items;  // predictions per step (n*n)
   double fresh_allocs_per_step;
   double pool_hits_per_step;
-  // Weight precision the step ran with: fp32 for the regular rows, bf16 /
-  // int8 for the quantized inference rows.
+  // Weight precision the step ran with: fp32 for the regular rows, int8 for
+  // the quantized inference rows.
   std::string precision = "fp32";
 };
 
@@ -345,22 +345,19 @@ void MeasureE2e(std::vector<E2eMeasurement>* out) {
         Variable o = layer.Forward(features, flow);
         sink = sink + o.value().flat(0);
       }));
-      // Quantized inference rows (pooled only): the same forward through
-      // bf16 / int8 weight snapshots, the serving path's reduced-precision
-      // tiers. Training rows are always fp32 by design.
+      // Quantized inference row (pooled only): the same forward through an
+      // int8 weight snapshot, the serving path's reduced-precision tier.
+      // Training rows are always fp32 by design.
       if (pooled != 0) {
-        for (tensor::Precision precision :
-             {tensor::Precision::kBf16, tensor::Precision::kInt8}) {
-          const auto quantized = autograd::BuildQuantizedWeightSet(
-              precision, layer.parameters());
-          E2eMeasurement m = MeasureStep("inference_step", n, true, [&] {
-            autograd::QuantizedInferenceScope scope(quantized.get());
-            Variable o = layer.Forward(features, flow);
-            sink = sink + o.value().flat(0);
-          });
-          m.precision = tensor::PrecisionName(precision);
-          out->push_back(m);
-        }
+        const auto quantized = autograd::BuildQuantizedWeightSet(
+            tensor::Precision::kInt8, layer.parameters());
+        E2eMeasurement m = MeasureStep("inference_step", n, true, [&] {
+          autograd::QuantizedInferenceScope scope(quantized.get());
+          Variable o = layer.Forward(features, flow);
+          sink = sink + o.value().flat(0);
+        });
+        m.precision = tensor::PrecisionName(tensor::Precision::kInt8);
+        out->push_back(m);
       }
     }
   }
