@@ -285,6 +285,14 @@ AttentionGnnLayer::AttentionGnnLayer(int feature_dim, int num_heads,
                                        rng));
 }
 
+Variable AttentionGnnLayer::SourceScoreWeights(int head) const {
+  return ag::MatMul(w8_[head], a_src_[head]);
+}
+
+Variable AttentionGnnLayer::DestScoreWeights(int head) const {
+  return ag::MatMul(w8_[head], a_dst_[head]);
+}
+
 Variable AttentionGnnLayer::Forward(const Variable& features) const {
   STGNN_CHECK_EQ(features.value().dim(1), feature_dim_);
   STGNN_TRACE_SCOPE("AttentionGnn.Forward");
@@ -295,11 +303,13 @@ Variable AttentionGnnLayer::Forward(const Variable& features) const {
   for (int u = 0; u < num_heads_; ++u) {
     // Eq. (15): e(i,j) = ELU([F_i W8 || F_j W8] W9). Splitting W9 into the
     // source/destination halves turns the pairwise concat into an outer sum:
-    // e = ELU(s 1^T + 1 d^T) with s = H a_src, d = H a_dst.
-    Variable projected = ag::MatMul(features, w8_[u]);       // [n, f]
-    Variable src = ag::MatMul(projected, a_src_[u]);         // [n, 1]
-    Variable dst = ag::Transpose(ag::MatMul(projected, a_dst_[u]));  // [1, n]
-    Variable e = ag::EluInPlace(ag::Add(src, dst));          // [n, n]
+    // e = ELU(s 1^T + 1 d^T) with s = (F W8) a_src, d = (F W8) a_dst. By
+    // associativity these are F (W8 a_src) and F (W8 a_dst): two matvecs
+    // after [f, f] x [f, 1] products, never the [n, f] x [f, f] projection.
+    Variable src = ag::MatMul(features, SourceScoreWeights(u));  // [n, 1]
+    Variable dst =
+        ag::Transpose(ag::MatMul(features, DestScoreWeights(u)));  // [1, n]
+    Variable e = ag::EluInPlace(ag::Add(src, dst));              // [n, n]
     // Eq. (16): dense softmax over all stations — no locality prior.
     Variable alpha = ag::RowSoftmax(e);
     last_attention_.push_back(alpha.value());

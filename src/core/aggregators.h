@@ -108,8 +108,16 @@ class AttentionGnnLayer : public nn::Module {
   int feature_dim() const { return feature_dim_; }
   bool self_term() const { return self_term_; }
 
-  // Per-head parameter access for the sharded staged forward (see
-  // FlowGnnLayer::weight()).
+  // Eq. (11) folded: W8 enters the scores only through its products with
+  // the two halves of W9, so s = F (W8_u a_src_u) and d = F (W8_u a_dst_u).
+  // Each is an [f, f] x [f, 1] product (a matvec), shared by the monolithic
+  // and the row-sliced forwards so both see the same folded vector.
+  autograd::Variable SourceScoreWeights(int head) const;
+  autograd::Variable DestScoreWeights(int head) const;
+
+  // Per-head parameter access: the sharded staged forward reads phi and
+  // W10, the int8 weight set leaves out W8, and tests evaluate the unfolded
+  // Eq. (11) from W8 and a.
   const autograd::Variable& w8(int head) const { return w8_[head]; }
   const autograd::Variable& a_src(int head) const { return a_src_[head]; }
   const autograd::Variable& a_dst(int head) const { return a_dst_[head]; }

@@ -62,9 +62,8 @@ FlowConvolution::Output FlowConvolution::Forward(
   // stable form of exp(W ÎS) / (exp(W ÎS) + exp(W ÎL)); beta_L = 1 - beta_S.
   auto fuse = [](const Variable& gate_weight, const Variable& short_term,
                  const Variable& long_term) {
-    Variable diff = ag::Sub(ag::MatMul(gate_weight, short_term),
-                            ag::MatMul(gate_weight, long_term));
-    Variable beta_short = ag::Sigmoid(diff);
+    Variable beta_short =
+        ag::Sigmoid(ag::MatMul(gate_weight, ag::Sub(short_term, long_term)));
     Variable beta_long =
         ag::Sub(Variable::Constant(
                     tensor::Tensor::Ones(beta_short.value().shape())),

@@ -94,10 +94,8 @@ ShardFusedRows ComputeShardFusedRows(const FlowConvolution& fc,
                        const Tensor& long_full) {
     Variable gate_rows =
         Variable::Constant(GatherRows(gate_weight.value(), owned));
-    Variable diff =
-        ag::Sub(ag::MatMul(gate_rows, Variable::Constant(short_full)),
-                ag::MatMul(gate_rows, Variable::Constant(long_full)));
-    Variable beta_short = ag::Sigmoid(diff);
+    Variable beta_short = ag::Sigmoid(ag::MatMul(
+        gate_rows, Variable::Constant(tensor::Sub(short_full, long_full))));
     Variable beta_long =
         ag::Sub(Variable::Constant(
                     Tensor::Ones(beta_short.value().shape())),
@@ -213,9 +211,9 @@ PcgHeadExports ComputePcgExports(const AttentionGnnLayer& layer,
   PcgHeadExports out;
   Variable rows = Variable::Constant(in_rows);
   for (int u = 0; u < layer.num_heads(); ++u) {
-    Variable projected = ag::MatMul(rows, layer.w8(u));  // [o, f]
-    out.d.push_back(ag::MatMul(projected, layer.a_dst(u)).value());  // [o, 1]
-    out.v.push_back(ag::MatMul(rows, layer.phi(u)).value());         // [o, f]
+    out.d.push_back(
+        ag::MatMul(rows, layer.DestScoreWeights(u)).value());  // [o, 1]
+    out.v.push_back(ag::MatMul(rows, layer.phi(u)).value());   // [o, f]
   }
   return out;
 }
@@ -234,31 +232,30 @@ PcgLayerHaloVars WrapHaloVars(PcgLayerHalo halo) {
 }
 
 Tensor ComputePcgLayerRows(const AttentionGnnLayer& layer,
-                           const Tensor& in_rows, const PcgLayerHalo& halo) {
-  return ComputePcgLayerRows(layer, in_rows, WrapHaloVars(halo));
-}
-
-Tensor ComputePcgLayerRows(const AttentionGnnLayer& layer,
                            const Tensor& in_rows,
+                           const std::vector<int>& owned,
                            const PcgLayerHaloVars& halo) {
   STGNN_TRACE_SCOPE("Shard.PcgRows");
   STGNN_CHECK_EQ(static_cast<int>(halo.d_full.size()), layer.num_heads());
   STGNN_CHECK_EQ(static_cast<int>(halo.v_full.size()), layer.num_heads());
+  STGNN_CHECK_EQ(in_rows.dim(0), static_cast<int>(owned.size()));
   Variable rows = Variable::Constant(in_rows);
   std::vector<Variable> head_outputs;
   head_outputs.reserve(layer.num_heads());
   for (int u = 0; u < layer.num_heads(); ++u) {
-    // Row-sliced Eq. (15)-(17): the query terms (s, the node's own value
-    // rows) are local; the key/value terms (d over all stations, V) come
-    // from the assembled halo.
-    Variable projected = ag::MatMul(rows, layer.w8(u));
-    Variable src = ag::MatMul(projected, layer.a_src(u));  // [o, 1]
+    // Row-sliced Eq. (15)-(17): the query scores s are local; the key and
+    // value terms (d over all stations, V) come from the assembled halo.
+    Variable src =
+        ag::MatMul(rows, layer.SourceScoreWeights(u));      // [o, 1]
     Variable e = ag::EluInPlace(ag::Add(src, halo.d_full[u]));  // [o, n]
     Variable alpha = ag::RowSoftmax(e);
-    Variable transformed = ag::MatMul(rows, layer.phi(u));      // [o, f]
     Variable aggregated = ag::MatMul(alpha, halo.v_full[u]);    // [o, f]
     if (layer.self_term()) {
-      aggregated = ag::AddInPlace(std::move(aggregated), transformed);
+      // The node's own value rows: every shard exported its rows of
+      // F phi_u into the halo, so gathering them is bitwise the product.
+      aggregated = ag::AddInPlace(
+          std::move(aggregated),
+          Variable::Constant(GatherRows(halo.v_full[u].value(), owned)));
     }
     head_outputs.push_back(ag::EluInPlace(std::move(aggregated)));
   }

@@ -139,14 +139,12 @@ struct PcgLayerHaloVars {
 PcgLayerHaloVars WrapHaloVars(PcgLayerHalo halo);
 
 // Owned rows of one attention layer's output: recomputes the local query
-// terms from `in_rows` and attends over the assembled halo. [o, f].
+// scores from `in_rows` (the layer input at global rows `owned`, in that
+// order) and attends over the assembled halo, whose value rows at `owned`
+// also supply the self term. [o, f].
 tensor::Tensor ComputePcgLayerRows(const AttentionGnnLayer& layer,
                                    const tensor::Tensor& in_rows,
-                                   const PcgLayerHalo& halo);
-// Replay fast path over the pre-wrapped halo; bit-identical to the tensor
-// overload.
-tensor::Tensor ComputePcgLayerRows(const AttentionGnnLayer& layer,
-                                   const tensor::Tensor& in_rows,
+                                   const std::vector<int>& owned,
                                    const PcgLayerHaloVars& halo);
 
 // Owned rows of the fusion head (Eq. (19)-(20)): concatenated branch rows

@@ -284,6 +284,14 @@ StgnnDjdModel::QuantizeWeights(tensor::Precision precision) const {
   for (const auto& [pname, p] : named_parameters()) {
     if (pname == "learned_features") exclude.push_back(p.node().get());
   }
+  if (pcg_branch_) {
+    for (int l = 0; l < pcg_branch_->num_attention_layers(); ++l) {
+      const AttentionGnnLayer& layer = pcg_branch_->attention_layer(l);
+      for (int u = 0; u < layer.num_heads(); ++u) {
+        exclude.push_back(layer.w8(u).node().get());
+      }
+    }
+  }
   return autograd::BuildQuantizedWeightSet(precision, parameters(), exclude);
 }
 

@@ -127,9 +127,12 @@ class StgnnDjdModel : public nn::Module {
   // inference-only quantized forward (autograd::QuantizedInferenceScope).
   // `learned_features` is excluded: in the No-FC variant it flows through
   // the graph as node *features*, not as a weight operand, and quantizing
-  // it would break staged-vs-monolithic forward parity. Returns null for
-  // fp32. The set aliases this model's current weight values; rebuild it
-  // after any parameter update.
+  // it would break staged-vs-monolithic forward parity. The attention W8_u
+  // are excluded too: the folded Eq. (11) only multiplies them into the
+  // [f, 1] score vectors, so no MatMul has W8 as its right operand and an
+  // int8 copy would never be read. Returns null for fp32. The set aliases
+  // this model's current weight values; rebuild it after any parameter
+  // update.
   std::shared_ptr<const autograd::QuantizedWeightSet> QuantizeWeights(
       tensor::Precision precision) const;
 

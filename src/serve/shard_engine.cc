@@ -268,7 +268,7 @@ Result<core::PcgHeadExports> ShardEngine::PcgLayer(
     return core::PcgHeadExports{};
   }
   build->pcg_in_rows = core::ComputePcgLayerRows(
-      pcg.attention_layer(layer), build->pcg_in_rows,
+      pcg.attention_layer(layer), build->pcg_in_rows, owned_,
       build->ctx.pcg_halo.back());
   build->next_layer = layer + 1;
   return core::ComputePcgExports(pcg.attention_layer(layer + 1),
@@ -315,7 +315,7 @@ Result<EngineOutput> ShardEngine::Execute(int slot) {
   const core::PcgBranch& pcg = *model.pcg_branch();
   for (int l = 0; l < pcg.num_attention_layers(); ++l) {
     pcg_rows = core::ComputePcgLayerRows(pcg.attention_layer(l), pcg_rows,
-                                         ctx->pcg_halo[l]);
+                                         owned_, ctx->pcg_halo[l]);
   }
   const Tensor out = core::ComputeOutputRows(model, fcg_rows, pcg_rows);
   output.rows = tensor::Relu(ctx->snapshot->normalizer.Denormalize(out));

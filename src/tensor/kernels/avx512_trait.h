@@ -23,6 +23,8 @@ namespace {
 struct Avx512 {
   using F = __m512;
   using I = __m512i;
+  using M = __mmask16;
+  using D = __m512d;
   static constexpr int kLanes = 16;
   // 4 rows x 4 vectors: 16 of the 32 zmm registers hold accumulators.
   static constexpr int kMmStrip = 4;
@@ -52,6 +54,41 @@ struct Avx512 {
   }
   static F Gather(const float* base, I offsets) {
     return _mm512_i32gather_ps(offsets, base, 4);
+  }
+
+  static M Gt(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
+  static M IsNan(F a) { return _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q); }
+  static F Select(M m, F a, F b) { return _mm512_mask_blend_ps(m, b, a); }
+  static F Neg(F a) { return _mm512_xor_ps(a, _mm512_set1_ps(-0.0f)); }
+
+  static D WidenLo(F a) { return _mm512_cvtps_pd(_mm512_castps512_ps256(a)); }
+  static D WidenHi(F a) {
+    return _mm512_cvtps_pd(_mm512_extractf32x8_ps(a, 1));
+  }
+  static F Narrow(D lo, D hi) {
+    return _mm512_insertf32x8(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo)),
+                              _mm512_cvtpd_ps(hi), 1);
+  }
+  static D Set1D(double x) { return _mm512_set1_pd(x); }
+  static D AddD(D a, D b) { return _mm512_add_pd(a, b); }
+  static D SubD(D a, D b) { return _mm512_sub_pd(a, b); }
+  static D MulD(D a, D b) { return _mm512_mul_pd(a, b); }
+  static D DivD(D a, D b) { return _mm512_div_pd(a, b); }
+  static D FmaD(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
+  static D FmsD(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
+  static void StoreD(double* p, D x) { _mm512_storeu_pd(p, x); }
+  static I BitsD(D a) { return _mm512_castpd_si512(a); }
+  static D FromBitsD(I a) { return _mm512_castsi512_pd(a); }
+  static I AddI64(I a, I b) { return _mm512_add_epi64(a, b); }
+  static I Shl47(I a) { return _mm512_slli_epi64(a, 47); }
+  // Two 16-entry permutes (each reads index bits 0-3) and a blend on bit 4.
+  static I Lookup32(const uint64_t* table, I k) {
+    const I lo = _mm512_permutex2var_epi64(_mm512_load_si512(table), k,
+                                           _mm512_load_si512(table + 8));
+    const I hi = _mm512_permutex2var_epi64(_mm512_load_si512(table + 16), k,
+                                           _mm512_load_si512(table + 24));
+    return _mm512_mask_blend_epi64(
+        _mm512_test_epi64_mask(k, _mm512_set1_epi64(16)), lo, hi);
   }
 
   static I LoadI(const void* p) { return _mm512_loadu_si512(p); }

@@ -6,9 +6,10 @@
 #include "common/cpuid.h"
 
 // Runtime-dispatched microkernels for the dominant compute loops (k-blocked
-// packed MatMul, the n == 1 matvec, row-parallel SpMM, fused Adam) plus the
-// int8 inference GEMM. One KernelTable per ISA; the active table is
-// selected at runtime from common::ActiveIsa() (STGNN_ISA overridable).
+// packed MatMul, the n == 1 matvec, row-parallel SpMM, fused Adam, the
+// exp-based elementwise ops and row softmax) plus the int8 inference GEMM.
+// One KernelTable per ISA; the active table is selected at runtime from
+// common::ActiveIsa() (STGNN_ISA overridable).
 //
 // The scalar table (kernels_scalar.cc) is the hand-written reference. The
 // vector tables instantiate one body per kernel from vector_kernels.h over
@@ -35,6 +36,12 @@
 //   * Division and square root are IEEE correctly rounded in both scalar
 //     and vector forms (vdivps / vsqrtps), so the fused Adam update is
 //     exact too.
+//   * exp is this library's own: ScalarExpf below, glibc 2.36's __expf_fma
+//     algorithm, whose every step (fma, double add/multiply, the float
+//     conversions, integer table arithmetic) is exact or IEEE correctly
+//     rounded, so the vector bodies that run it lane-wise match it bit for
+//     bit. Row softmax keeps each row's max and double denominator as one
+//     sequential chain, with rows in lanes as in the matvec.
 // The int8 GEMM accumulates in exact int32 arithmetic and applies one
 // float conversion + one multiply per output element, so it is bitwise
 // identical across ISAs by construction.
@@ -59,6 +66,39 @@ inline constexpr int kMmDepth = 128;
 // row tiles. With one tile per fetch, a B larger than L2 (the [2048, 512]
 // W10 head merge) streams from L3 for every tile.
 inline constexpr int kMmRowBlock = 64;
+
+// RowSoftmax fans rows out in chunks that are whole multiples of this many
+// rows, so the rows-in-lanes passes of every vector tier (16 lanes at most)
+// run full vectors and only a range's last group falls to the scalar rows.
+inline constexpr int kSoftmaxRowBlock = 16;
+
+// Constants of the exp algorithm (glibc 2.36 e_expf.c / e_exp2f_data.c,
+// N = 32): x * N / ln2 = k + r, exp(x) = 2^(k/N) * 2^(r/N), with 2^(k/N)
+// read from a 32-entry table and 2^(r/N) a cubic in r.
+inline constexpr double kExpInvLn2N = 0x1.71547652b82fep+0 * 32;
+inline constexpr double kExpShift = 0x1.8p+52;
+inline constexpr double kExpC0 = 0x1.c6af84b912394p-5 / (32.0 * 32.0 * 32.0);
+inline constexpr double kExpC1 = 0x1.ebfce50fac4f3p-3 / (32.0 * 32.0);
+inline constexpr double kExpC2 = 0x1.62e42ff0c52d6p-1 / 32.0;
+// Above this exp is +inf, below this +0 (glibc's over- and underflow
+// limits); every x between them takes the polynomial.
+inline constexpr float kExpOverflow = 0x1.62e42ep6f;
+inline constexpr float kExpUnderflow = -0x1.9fe368p6f;
+// kExpTable[i] = bits(2^(i/32)) - (i << 47): adding k << 47 to entry k % 32
+// gives the bits of 2^(k/32) for any integer k in range.
+alignas(64) inline constexpr uint64_t kExpTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
 
 // int8 GEMM row tile: the vector variants block 4 output rows so every
 // packed-B load is shared 4 ways. Callers must hand qgemm_rows chunks of
@@ -121,6 +161,19 @@ struct KernelTable {
                             int64_t row_begin, int64_t row_end, int k,
                             int64_t k4, float b_scale);
 
+  // out[i] = exp(in[i]) for i in [0, n): bitwise ScalarExpf.
+  void (*exp)(const float* in, float* out, int64_t n);
+  // ELU: out[i] = in[i] > 0 ? in[i] : alpha * (exp(in[i]) - 1). out may
+  // alias in.
+  void (*elu)(const float* in, float* out, int64_t n, float alpha);
+  // Logistic sigmoid: out[i] = 1 / (1 + exp(-in[i])).
+  void (*sigmoid)(const float* in, float* out, int64_t n);
+  // Rows [row_begin, row_end) of a row softmax over a [*, cols] matrix:
+  // m = the row max (ascending std::max from -inf), e_j = exp(x_j - m),
+  // denom = the ascending double sum of the e_j, out_j = float(e_j / denom).
+  void (*row_softmax_rows)(const float* in, float* out, int64_t row_begin,
+                           int64_t row_end, int cols);
+
   // Below this m*k*n, MatMul takes the small path (no packing).
   int64_t mm_small_flops;
   // ParallelFor chunk target (flops) for the packed MatMul row fan-out;
@@ -156,6 +209,14 @@ void ScalarQgemmRows(const uint8_t* qa, const float* row_scale,
 void ScalarQuantizeActRows(const float* a, uint8_t* qa, float* row_scale,
                            int64_t row_begin, int64_t row_end, int k,
                            int64_t k4, float b_scale);
+// exp(x), bit for bit what glibc 2.36's expf returns on an FMA host (its
+// __expf_fma variant) for every float x; the oracle of the exp entries.
+float ScalarExpf(float x);
+void ScalarExp(const float* in, float* out, int64_t n);
+void ScalarElu(const float* in, float* out, int64_t n, float alpha);
+void ScalarSigmoid(const float* in, float* out, int64_t n);
+void ScalarRowSoftmaxRows(const float* in, float* out, int64_t row_begin,
+                          int64_t row_end, int cols);
 
 const KernelTable& ScalarKernels();
 #if defined(__x86_64__) || defined(_M_X64)

@@ -15,6 +15,8 @@ namespace {
 struct Avx2 {
   using F = __m256;
   using I = __m256i;
+  using M = __m256;
+  using D = __m256d;
   static constexpr int kLanes = 8;
   // 4 rows x 2 vectors: 8 accumulators plus 2 panel loads and a broadcast
   // stay within the 16 ymm registers.
@@ -49,6 +51,35 @@ struct Avx2 {
   }
   static F Gather(const float* base, I offsets) {
     return _mm256_i32gather_ps(base, offsets, 4);
+  }
+
+  static M Gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static M IsNan(F a) { return _mm256_cmp_ps(a, a, _CMP_UNORD_Q); }
+  static F Select(M m, F a, F b) { return _mm256_blendv_ps(b, a, m); }
+  static F Neg(F a) { return _mm256_xor_ps(a, _mm256_set1_ps(-0.0f)); }
+
+  static D WidenLo(F a) { return _mm256_cvtps_pd(_mm256_castps256_ps128(a)); }
+  static D WidenHi(F a) { return _mm256_cvtps_pd(_mm256_extractf128_ps(a, 1)); }
+  static F Narrow(D lo, D hi) {
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
+                                _mm256_cvtpd_ps(hi), 1);
+  }
+  static D Set1D(double x) { return _mm256_set1_pd(x); }
+  static D AddD(D a, D b) { return _mm256_add_pd(a, b); }
+  static D SubD(D a, D b) { return _mm256_sub_pd(a, b); }
+  static D MulD(D a, D b) { return _mm256_mul_pd(a, b); }
+  static D DivD(D a, D b) { return _mm256_div_pd(a, b); }
+  static D FmaD(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
+  static D FmsD(D a, D b, D c) { return _mm256_fmsub_pd(a, b, c); }
+  static void StoreD(double* p, D x) { _mm256_storeu_pd(p, x); }
+  static I BitsD(D a) { return _mm256_castpd_si256(a); }
+  static D FromBitsD(I a) { return _mm256_castsi256_pd(a); }
+  static I AddI64(I a, I b) { return _mm256_add_epi64(a, b); }
+  static I Shl47(I a) { return _mm256_slli_epi64(a, 47); }
+  static I Lookup32(const uint64_t* table, I k) {
+    return _mm256_i64gather_epi64(
+        reinterpret_cast<const long long*>(table),
+        _mm256_and_si256(k, _mm256_set1_epi64x(31)), 8);
   }
 
   static I LoadI(const void* p) {
@@ -101,6 +132,10 @@ const KernelTable& Avx2Kernels() {
       &VecAdamStep<Avx2>,
       &VecQgemmRows<Avx2>,
       &VecQuantizeActRows<Avx2>,
+      &VecExpRange<Avx2>,
+      &VecElu<Avx2>,
+      &VecSigmoid<Avx2>,
+      &VecRowSoftmaxRows<Avx2>,
       // The vector small kernel keeps its accumulators in registers, so
       // packing pays off later than in the scalar build.
       /*mm_small_flops=*/int64_t{64} * 64 * 64,

@@ -21,6 +21,10 @@ const KernelTable& Avx512Kernels() {
       &VecAdamStep<Avx512>,
       &VecQgemmRows<Avx512>,
       &VecQuantizeActRows<Avx512>,
+      &VecExpRange<Avx512>,
+      &VecElu<Avx512>,
+      &VecSigmoid<Avx512>,
+      &VecRowSoftmaxRows<Avx512>,
       /*mm_small_flops=*/int64_t{64} * 64 * 64,
       /*mm_chunk_flops=*/int64_t{1} << 21,
       /*row_grain_ops=*/16384,

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "tensor/kernels/kernels.h"
 
@@ -208,6 +209,63 @@ void ScalarQuantizeActRows(const float* a, uint8_t* qa, float* row_scale,
   }
 }
 
+float ScalarExpf(float x) {
+  // glibc takes its special cases only for |x| >= 88 or NaN; between 88 and
+  // the limits it still runs the polynomial, so testing the limits alone
+  // selects the same results.
+  if (std::isnan(x)) return x + x;
+  if (x > kExpOverflow) return std::numeric_limits<float>::infinity();
+  if (x < kExpUnderflow) return 0.0f;
+  const double xd = x;
+  // k = round(x * N / ln2) lands in the low mantissa bits of kd_shifted.
+  const double kd_shifted = std::fma(kExpInvLn2N, xd, kExpShift);
+  uint64_t ki;
+  std::memcpy(&ki, &kd_shifted, sizeof(ki));
+  const double kd = kd_shifted - kExpShift;
+  const double r = std::fma(kExpInvLn2N, xd, -kd);
+  const uint64_t t = kExpTable[ki % 32] + (ki << 47);
+  double s;
+  std::memcpy(&s, &t, sizeof(s));
+  const double y = std::fma(std::fma(kExpC0, r, kExpC1), r * r,
+                            std::fma(kExpC2, r, 1.0)) *
+                   s;
+  return static_cast<float>(y);
+}
+
+void ScalarExp(const float* in, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = ScalarExpf(in[i]);
+}
+
+void ScalarElu(const float* in, float* out, int64_t n, float alpha) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float x = in[i];
+    out[i] = x > 0.0f ? x : alpha * (ScalarExpf(x) - 1.0f);
+  }
+}
+
+void ScalarSigmoid(const float* in, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = 1.0f / (1.0f + ScalarExpf(-in[i]));
+  }
+}
+
+void ScalarRowSoftmaxRows(const float* in, float* out, int64_t row_begin,
+                          int64_t row_end, int cols) {
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    const float* x = in + i * cols;
+    float* y = out + i * cols;
+    float row_max = -std::numeric_limits<float>::infinity();
+    for (int j = 0; j < cols; ++j) row_max = std::max(row_max, x[j]);
+    double denom = 0.0;
+    for (int j = 0; j < cols; ++j) {
+      const float e = ScalarExpf(x[j] - row_max);
+      y[j] = e;
+      denom += e;
+    }
+    for (int j = 0; j < cols; ++j) y[j] = static_cast<float>(y[j] / denom);
+  }
+}
+
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       common::Isa::kScalar,
@@ -219,6 +277,10 @@ const KernelTable& ScalarKernels() {
       &ScalarAdamStep,
       &ScalarQgemmRows,
       &ScalarQuantizeActRows,
+      &ScalarExp,
+      &ScalarElu,
+      &ScalarSigmoid,
+      &ScalarRowSoftmaxRows,
       /*mm_small_flops=*/int64_t{48} * 48 * 48,
       /*mm_chunk_flops=*/int64_t{1} << 18,
       /*row_grain_ops=*/2048,

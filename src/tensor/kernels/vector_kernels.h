@@ -20,6 +20,16 @@
 //                     and QuantizeBlock(src, inv, dst) (kQuant floats scaled
 //                     by inv, rounded to nearest-even, clamped to +-63 and
 //                     stored as kQuant bytes with zero-point +64)
+//   fp32 masks        M, the lane mask type: Gt and IsNan produce one,
+//                     Select(m, a, b) takes a where m is set, else b; Neg
+//                     flips the sign bit
+//   double lanes      D holds kLanes / 2 doubles: WidenLo WidenHi (the low
+//                     and high halves of an F, exactly), Narrow(lo, hi)
+//                     (round both to float, back into one F), Set1D AddD
+//                     SubD MulD DivD FmaD FmsD (a * b - c, one rounding),
+//                     StoreD, BitsD FromBitsD (reinterpret as / from int64
+//                     lanes in an I), AddI64, Shl47 and Lookup32(table, k)
+//                     (lane r loads table[k_r % 32])
 //
 // Parity (kernels.h states the contract): every body vectorises across
 // independent output elements only, and its column, row and element tails
@@ -35,6 +45,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "tensor/kernels/kernels.h"
 
@@ -356,6 +367,137 @@ void VecQuantizeActRows(const float* a, uint8_t* qa, float* row_scale,
     std::memset(qrow + k, 0, static_cast<size_t>(k4 * 4 - k));
     row_scale[i] = (amax > 0.0f ? amax / 63.0f : 1.0f) * b_scale;
   }
+}
+
+// ScalarExpf's polynomial path on double lanes: the same fma, table and
+// integer steps in the same order, each exact or correctly rounded.
+template <class V>
+inline typename V::D VecExpPoly(typename V::D xd) {
+  using D = typename V::D;
+  const D inv_ln2n = V::Set1D(kExpInvLn2N);
+  const D shift = V::Set1D(kExpShift);
+  const D kd_shifted = V::FmaD(inv_ln2n, xd, shift);
+  const typename V::I ki = V::BitsD(kd_shifted);
+  const D kd = V::SubD(kd_shifted, shift);
+  const D r = V::FmsD(inv_ln2n, xd, kd);
+  const D s =
+      V::FromBitsD(V::AddI64(V::Lookup32(kExpTable, ki), V::Shl47(ki)));
+  const D poly = V::FmaD(V::FmaD(V::Set1D(kExpC0), r, V::Set1D(kExpC1)),
+                         V::MulD(r, r),
+                         V::FmaD(V::Set1D(kExpC2), r, V::Set1D(1.0)));
+  return V::MulD(poly, s);
+}
+
+// exp of every lane, bitwise ScalarExpf including its special inputs:
+// past the limits the polynomial's lanes are replaced by +inf / +0, and a
+// NaN lane returns x + x.
+template <class V>
+inline typename V::F VecExp(typename V::F x) {
+  typename V::F y = V::Narrow(VecExpPoly<V>(V::WidenLo(x)),
+                              VecExpPoly<V>(V::WidenHi(x)));
+  y = V::Select(V::Gt(x, V::Set1(kExpOverflow)),
+                V::Set1(std::numeric_limits<float>::infinity()), y);
+  y = V::Select(V::Gt(V::Set1(kExpUnderflow), x), V::Zero(), y);
+  return V::Select(V::IsNan(x), V::Add(x, x), y);
+}
+
+// out[i] = op(in[i]) over whole vectors; returns where the scalar tail
+// starts.
+template <class V, class Op>
+inline int64_t VecMapVectors(const float* in, float* out, int64_t n, Op op) {
+  int64_t i = 0;
+  for (; i + V::kLanes <= n; i += V::kLanes) {
+    V::Store(out + i, op(V::Load(in + i)));
+  }
+  return i;
+}
+
+template <class V>
+void VecExpRange(const float* in, float* out, int64_t n) {
+  const int64_t i = VecMapVectors<V>(in, out, n, VecExp<V>);
+  if (i < n) ScalarExp(in + i, out + i, n - i);
+}
+
+template <class V>
+void VecElu(const float* in, float* out, int64_t n, float alpha) {
+  using F = typename V::F;
+  const F alphav = V::Set1(alpha);
+  const F one = V::Set1(1.0f);
+  const int64_t i = VecMapVectors<V>(in, out, n, [&](F x) {
+    const F neg = V::Mul(alphav, V::Sub(VecExp<V>(x), one));
+    return V::Select(V::Gt(x, V::Zero()), x, neg);
+  });
+  if (i < n) ScalarElu(in + i, out + i, n - i, alpha);
+}
+
+template <class V>
+void VecSigmoid(const float* in, float* out, int64_t n) {
+  using F = typename V::F;
+  const F one = V::Set1(1.0f);
+  const int64_t i = VecMapVectors<V>(in, out, n, [&](F x) {
+    return V::Div(one, V::Add(one, VecExp<V>(V::Neg(x))));
+  });
+  if (i < n) ScalarSigmoid(in + i, out + i, n - i);
+}
+
+// Row r's normalisation out = float(e / denom): each lane divides its
+// widened e by denom, one correctly rounded division as in the reference.
+template <class V>
+inline void VecNormaliseRow(float* y, int cols, double denom) {
+  const typename V::D d = V::Set1D(denom);
+  int64_t j = VecMapVectors<V>(y, y, cols, [&](typename V::F e) {
+    return V::Narrow(V::DivD(V::WidenLo(e), d), V::DivD(V::WidenHi(e), d));
+  });
+  for (; j < cols; ++j) y[j] = static_cast<float>(y[j] / denom);
+}
+
+// kLanes rows per pass. The row max and the double denominator are
+// reductions, so lane r carries row r's whole chain in ascending column
+// order, as VecMatVecRows does (max_ps(v, acc) is std::max(acc, v), NaN
+// skipping included). The exp and the normalisation are elementwise and
+// run along each row.
+template <class V>
+void VecRowSoftmaxRows(const float* in, float* out, int64_t row_begin,
+                       int64_t row_end, int cols) {
+  using F = typename V::F;
+  using D = typename V::D;
+  constexpr int L = V::kLanes;
+  const typename V::I offsets = V::RowOffsets(cols);
+  int64_t i = row_begin;
+  for (; i + L <= row_end; i += L) {
+    const float* x = in + i * cols;
+    float* y = out + i * cols;
+    F vmax = V::Set1(-std::numeric_limits<float>::infinity());
+    for (int j = 0; j < cols; ++j) {
+      vmax = V::Max(V::Gather(x + j, offsets), vmax);
+    }
+    alignas(sizeof(F)) float row_max[L];
+    V::Store(row_max, vmax);
+    for (int r = 0; r < L; ++r) {
+      const float* xr = x + static_cast<size_t>(r) * cols;
+      float* yr = y + static_cast<size_t>(r) * cols;
+      const F m = V::Set1(row_max[r]);
+      int j = 0;
+      for (; j + L <= cols; j += L) {
+        V::Store(yr + j, VecExp<V>(V::Sub(V::Load(xr + j), m)));
+      }
+      for (; j < cols; ++j) yr[j] = ScalarExpf(xr[j] - row_max[r]);
+    }
+    D denom_lo = V::Set1D(0.0);
+    D denom_hi = V::Set1D(0.0);
+    for (int j = 0; j < cols; ++j) {
+      const F e = V::Gather(y + j, offsets);
+      denom_lo = V::AddD(denom_lo, V::WidenLo(e));
+      denom_hi = V::AddD(denom_hi, V::WidenHi(e));
+    }
+    alignas(sizeof(F)) double denom[L];
+    V::StoreD(denom, denom_lo);
+    V::StoreD(denom + L / 2, denom_hi);
+    for (int r = 0; r < L; ++r) {
+      VecNormaliseRow<V>(y + static_cast<size_t>(r) * cols, cols, denom[r]);
+    }
+  }
+  if (i < row_end) ScalarRowSoftmaxRows(in, out, i, row_end, cols);
 }
 
 }  // namespace

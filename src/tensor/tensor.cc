@@ -270,15 +270,28 @@ Tensor Tensor::Transpose() const {
   Tensor out = Tensor::Uninitialized({cols, rows});
   const float* src = data_.data();
   float* dst = out.mutable_data().data();
-  // Parallel over output rows; each output row j gathers column j of the
-  // source, so writes never overlap across chunks.
-  common::ParallelFor(0, cols, RowGrain(rows), [&](int64_t jb, int64_t je) {
-    for (int64_t j = jb; j < je; ++j) {
-      for (int64_t i = 0; i < rows; ++i) {
-        dst[j * rows + i] = src[i * cols + j];
-      }
-    }
-  });
+  // Tiles of kTile x kTile: a tile's source rows and destination rows both
+  // stay in L1 while it is copied, where gathering a whole output row reads
+  // one element per source cache line and, for tall sources, evicts each
+  // line before its neighbours are used. Parallel over bands of output rows,
+  // so writes never overlap across chunks. Pure data movement: no bit moves.
+  constexpr int64_t kTile = 32;
+  const int64_t band_grain = std::max<int64_t>(1, RowGrain(rows) / kTile);
+  common::ParallelFor(
+      0, (cols + kTile - 1) / kTile, band_grain, [&](int64_t bb, int64_t be) {
+        for (int64_t j0 = bb * kTile; j0 < std::min<int64_t>(be * kTile, cols);
+             j0 += kTile) {
+          const int64_t j1 = std::min<int64_t>(j0 + kTile, cols);
+          for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
+            const int64_t i1 = std::min<int64_t>(i0 + kTile, rows);
+            for (int64_t j = j0; j < j1; ++j) {
+              for (int64_t i = i0; i < i1; ++i) {
+                dst[j * rows + i] = src[i * cols + j];
+              }
+            }
+          }
+        }
+      });
   return out;
 }
 
@@ -464,30 +477,32 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
   return out;
 }
 
-// out[i] = x > 0 ? x : alpha * (exp(x) - 1) for i in [lo, hi); `out` may
-// alias `in`. Attention scores are positive about half the time in no
-// particular order, so a per-element branch mispredicts constantly. This
-// copies each block through, notes its non-positive entries branch-free,
-// then runs the same exp expression on just those: identical bits, no
-// mispredicts.
-void EluRange(const float* in, float* out, int64_t lo, int64_t hi,
-              float alpha) {
-  constexpr int64_t kBlock = 1024;
-  int32_t neg[kBlock];
-  for (int64_t b = lo; b < hi; b += kBlock) {
-    const int64_t e = std::min(hi, b + kBlock);
-    int count = 0;
-    for (int64_t i = b; i < e; ++i) {
-      const float x = in[i];
-      out[i] = x;
-      neg[count] = static_cast<int32_t>(i - b);
-      count += !(x > 0.0f);
-    }
-    for (int c = 0; c < count; ++c) {
-      float& y = out[b + neg[c]];
-      y = alpha * (std::exp(y) - 1.0f);
-    }
-  }
+// out[i] = kernel(in[i]) through a KernelTable elementwise entry, fanned
+// out in element chunks; `out` may alias `in`. Each element's bits depend
+// on nothing but its input, so neither the chunking nor the table changes
+// them.
+template <typename Kernel>
+void KernelMapRange(const float* in, float* out, int64_t n, Kernel kernel) {
+  STGNN_COUNTER_ADD("elementwise.elems", n);
+  common::ParallelFor(0, n, kElementGrain, [&](int64_t lo, int64_t hi) {
+    kernel(in + lo, out + lo, hi - lo);
+  });
+}
+
+template <typename Kernel>
+Tensor KernelMap(const Tensor& a, Kernel kernel) {
+  Tensor out = Tensor::Uninitialized(a.shape());
+  KernelMapRange(a.data().data(), out.mutable_data().data(), out.size(),
+                 kernel);
+  return out;
+}
+
+// The kernel table's ELU as a KernelMapRange kernel.
+auto EluKernel(float alpha) {
+  return [elu = kernels::Active().elu, alpha](const float* in, float* out,
+                                              int64_t n) {
+    elu(in, out, n, alpha);
+  };
 }
 
 template <typename Fn>
@@ -527,9 +542,7 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
 Tensor Neg(const Tensor& a) {
   return UnaryMap(a, [](float x) { return -x; });
 }
-Tensor Exp(const Tensor& a) {
-  return UnaryMap(a, [](float x) { return std::exp(x); });
-}
+Tensor Exp(const Tensor& a) { return KernelMap(a, kernels::Active().exp); }
 Tensor Log(const Tensor& a) {
   return UnaryMap(a, [](float x) { return std::log(x); });
 }
@@ -546,18 +559,10 @@ Tensor Relu(const Tensor& a) {
   return UnaryMap(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 Tensor Elu(const Tensor& a, float alpha) {
-  Tensor out = Tensor::Uninitialized(a.shape());
-  STGNN_COUNTER_ADD("elementwise.elems", out.size());
-  const float* da = a.data().data();
-  float* dout = out.mutable_data().data();
-  common::ParallelFor(0, out.size(), kElementGrain,
-                      [&](int64_t lo, int64_t hi) {
-                        EluRange(da, dout, lo, hi, alpha);
-                      });
-  return out;
+  return KernelMap(a, EluKernel(alpha));
 }
 Tensor Sigmoid(const Tensor& a) {
-  return UnaryMap(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  return KernelMap(a, kernels::Active().sigmoid);
 }
 Tensor Tanh(const Tensor& a) {
   return UnaryMap(a, [](float x) { return std::tanh(x); });
@@ -675,12 +680,8 @@ void ReluInPlace(Tensor* a) {
 }
 void EluInPlace(Tensor* a, float alpha) {
   STGNN_CHECK(a != nullptr);
-  STGNN_COUNTER_ADD("elementwise.elems", a->size());
   float* da = a->mutable_data().data();
-  common::ParallelFor(0, a->size(), kElementGrain,
-                      [&](int64_t lo, int64_t hi) {
-                        EluRange(da, da, lo, hi, alpha);
-                      });
+  KernelMapRange(da, da, a->size(), EluKernel(alpha));
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -917,23 +918,13 @@ Tensor RowSoftmax(const Tensor& a) {
   Tensor out = Tensor::Uninitialized(a.shape());
   const float* src = a.data().data();
   float* dst = out.mutable_data().data();
-  common::ParallelFor(0, rows, common::GrainFor(rows, cols),
-                      [&](int64_t ib, int64_t ie) {
-    for (int64_t i = ib; i < ie; ++i) {
-      const float* in_row = src + i * cols;
-      float* out_row = dst + i * cols;
-      float row_max = -std::numeric_limits<float>::infinity();
-      for (int j = 0; j < cols; ++j) row_max = std::max(row_max, in_row[j]);
-      double denom = 0.0;
-      for (int j = 0; j < cols; ++j) {
-        const float e = std::exp(in_row[j] - row_max);
-        out_row[j] = e;
-        denom += e;
-      }
-      for (int j = 0; j < cols; ++j) {
-        out_row[j] = static_cast<float>(out_row[j] / denom);
-      }
-    }
+  // Rows are independent; whole kSoftmaxRowBlock groups per chunk keep the
+  // vector tiers' rows-in-lanes passes full.
+  const kernels::KernelTable& kt = kernels::Active();
+  const int64_t grain = RoundUp(common::GrainFor(rows, cols, kt.row_grain_ops),
+                                kernels::kSoftmaxRowBlock);
+  common::ParallelFor(0, rows, grain, [&](int64_t ib, int64_t ie) {
+    kt.row_softmax_rows(src, dst, ib, ie, cols);
   });
   return out;
 }

@@ -139,6 +139,9 @@ Tensor Maximum(const Tensor& a, const Tensor& b);
 Tensor Minimum(const Tensor& a, const Tensor& b);
 
 // --- Elementwise unary ops ---
+// Exp, Elu, EluInPlace, Sigmoid and RowSoftmax evaluate exp with the
+// library's own kernels::ScalarExpf algorithm on every kernel tier, so
+// their bits do not depend on the host libm.
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a);

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/aggregators.h"
 #include "core/config.h"
@@ -240,6 +242,89 @@ TEST(AttentionAggregatorTest, HeadsDiffer) {
   const auto& attn = layer.last_attention();
   ASSERT_EQ(attn.size(), 2u);
   EXPECT_FALSE(attn[0].AllClose(attn[1], 1e-4f));
+}
+
+// Eq. (11) is evaluated folded, s = F (W8 a_src) and d = F (W8 a_dst), a
+// reassociation of the paper's [F_i W8 || F_j W8] W9. Against that unfolded
+// product in double, each float score may carry the rounding of two
+// ascending fma chains of depth f: |error| <= 2 f eps * sum |F||W8||a|.
+// The test allows 1e-5 of that absolute-value sum (2 f eps is 7.6e-6 at
+// f = 64), and checks the softmaxed attention rows to 1e-5 absolute.
+TEST(AttentionAggregatorTest, FoldedScoresMatchUnfoldedEq11InDouble) {
+  for (const int n : {8, 64}) {
+    common::Rng rng(90 + n);
+    constexpr int kHeads = 2;
+    AttentionGnnLayer layer(n, kHeads, &rng);
+    const Tensor f = Tensor::RandomUniform({n, n}, -1, 1, &rng);
+    (void)layer.Forward(Variable::Constant(f));
+    for (int u = 0; u < kHeads; ++u) {
+      const Tensor src =
+          tensor::MatMul(f, layer.SourceScoreWeights(u).value());
+      const Tensor dst = tensor::MatMul(f, layer.DestScoreWeights(u).value());
+      const Tensor& w8 = layer.w8(u).value();
+      const Tensor& a_src = layer.a_src(u).value();
+      const Tensor& a_dst = layer.a_dst(u).value();
+      // Unfolded, in double: P = F W8, then the two halves of P W9.
+      std::vector<double> s_ref(n, 0.0), d_ref(n, 0.0), s_abs(n, 0.0),
+          d_abs(n, 0.0);
+      for (int i = 0; i < n; ++i) {
+        for (int q = 0; q < n; ++q) {
+          double p = 0.0, p_abs = 0.0;
+          for (int k = 0; k < n; ++k) {
+            p += static_cast<double>(f.at(i, k)) * w8.at(k, q);
+            p_abs += std::fabs(static_cast<double>(f.at(i, k)) * w8.at(k, q));
+          }
+          s_ref[i] += p * a_src.at(q, 0);
+          d_ref[i] += p * a_dst.at(q, 0);
+          s_abs[i] += p_abs * std::fabs(a_src.at(q, 0));
+          d_abs[i] += p_abs * std::fabs(a_dst.at(q, 0));
+        }
+      }
+      for (int i = 0; i < n; ++i) {
+        EXPECT_NEAR(src.at(i, 0), s_ref[i], 1e-5 * s_abs[i] + 1e-30)
+            << "n=" << n << " head " << u << " row " << i;
+        EXPECT_NEAR(dst.at(i, 0), d_ref[i], 1e-5 * d_abs[i] + 1e-30)
+            << "n=" << n << " head " << u << " row " << i;
+      }
+      // Eq. (12) from the unfolded scores: softmax_j ELU(s_i + d_j).
+      const Tensor& attention = layer.last_attention()[u];
+      for (int i = 0; i < n; ++i) {
+        std::vector<double> e(n);
+        double e_max = -INFINITY;
+        for (int j = 0; j < n; ++j) {
+          const double x = s_ref[i] + d_ref[j];
+          e[j] = x > 0 ? x : std::expm1(x);
+          e_max = std::max(e_max, e[j]);
+        }
+        double denom = 0.0;
+        for (int j = 0; j < n; ++j) denom += std::exp(e[j] - e_max);
+        for (int j = 0; j < n; ++j) {
+          EXPECT_NEAR(attention.at(i, j), std::exp(e[j] - e_max) / denom,
+                      1e-5)
+              << "n=" << n << " head " << u << " (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// After the fold no MatMul has W8 as its right operand, so the int8 weight
+// set carries no copy of it; the value transforms stay quantized.
+TEST(AttentionAggregatorTest, QuantizedWeightSetLeavesOutW8) {
+  common::Rng rng(11);
+  StgnnConfig config = FastConfig();
+  StgnnDjdModel model(16, config, &rng);
+  const auto set = model.QuantizeWeights(tensor::Precision::kInt8);
+  ASSERT_NE(set, nullptr);
+  const PcgBranch& pcg = *model.pcg_branch();
+  ASSERT_GT(pcg.num_attention_layers(), 0);
+  for (int l = 0; l < pcg.num_attention_layers(); ++l) {
+    const AttentionGnnLayer& layer = pcg.attention_layer(l);
+    for (int u = 0; u < layer.num_heads(); ++u) {
+      EXPECT_EQ(set->Find(layer.w8(u).node().get()), nullptr);
+      EXPECT_NE(set->Find(layer.phi(u).node().get()), nullptr);
+    }
+  }
 }
 
 TEST(FlowAggregatorTest, RespectsWeights) {

@@ -13,7 +13,9 @@
 // bitwise across ISAs.
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -477,6 +479,144 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
       }
     }
   }
+}
+
+float FromBits(uint32_t u) {
+  float x;
+  std::memcpy(&x, &u, sizeof(x));
+  return x;
+}
+
+// Inputs around every branch of the exp algorithm: signed zeros,
+// denormals, +-88 (where glibc leaves its fast path) and the over- and
+// underflow limits with their float neighbours, the log(2^-149) rounding
+// edge, +-inf and NaNs with payloads and either quiet bit. Plus the only
+// two floats whose result changes when the reduction r = x N/ln2 - kd is
+// not fused (glibc's non-FMA variant), found by exhaustive search.
+std::vector<float> ExpSpecialInputs() {
+  std::vector<float> out = {0x1.04845ep+5f, -0x1.f8cbb2p+5f};
+  auto with_neighbours = [&out](float x) {
+    out.push_back(std::nextafter(x, -INFINITY));
+    out.push_back(x);
+    out.push_back(std::nextafter(x, INFINITY));
+  };
+  for (float x : {0.0f, 88.0f, -88.0f, tensor::kernels::kExpOverflow,
+                  tensor::kernels::kExpUnderflow, -0x1.9d1d9ep6f, 1.0f,
+                  -1.0f, std::numeric_limits<float>::min(),
+                  -std::numeric_limits<float>::min()}) {
+    with_neighbours(x);
+  }
+  for (uint32_t u : {0x80000000u, 0x00000001u, 0x80000001u, 0x00012345u,
+                     0x807fffffu, 0x7f7fffffu, 0xff7fffffu, 0x7f800000u,
+                     0xff800000u, 0x7fc00000u, 0xffc00000u, 0x7f800001u,
+                     0xff812345u, 0x7fc12345u}) {
+    out.push_back(FromBits(u));
+  }
+  return out;
+}
+
+// The exp entry of every tier against the scalar reference on a strided
+// sample of all 2^32 bit patterns plus the special inputs, and through
+// tensor::Exp at 1, 2 and 7 threads. exp_exhaustive_test covers every
+// input (label "exhaustive"). On glibc hosts with FMA, where expf runs
+// __expf_fma, the reference must also reproduce the host expf.
+TEST(SimdKernels, ExpMatchesScalarReferenceOnSampleAndSpecials) {
+  DispatchGuard guard;
+  std::vector<float> inputs = ExpSpecialInputs();
+  for (uint64_t u = 0; u < (uint64_t{1} << 32); u += 65521) {
+    inputs.push_back(FromBits(static_cast<uint32_t>(u)));
+  }
+  // An odd count leaves a scalar tail on every tier.
+  if (inputs.size() % 2 == 0) inputs.push_back(0.5f);
+  const int64_t n = static_cast<int64_t>(inputs.size());
+  Tensor ref({static_cast<int>(n)});
+  for (int64_t i = 0; i < n; ++i) {
+    ref.flat(i) = tensor::kernels::ScalarExpf(inputs[i]);
+  }
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 27)
+  if (common::IsaSupported(common::Isa::kAvx2)) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float host = std::exp(inputs[i]);
+      EXPECT_EQ(std::memcmp(&host, &ref.flat(i), sizeof(float)), 0)
+          << "host expf vs reference at " << std::hexfloat << inputs[i];
+    }
+  }
+#endif
+  const Tensor x({static_cast<int>(n)}, inputs);
+  for (common::Isa isa : AvailableIsas()) {
+    std::vector<float> out(inputs.size());
+    tensor::kernels::TableFor(isa).exp(inputs.data(), out.data(), n);
+    EXPECT_TRUE(BitsEqual(ref, Tensor({static_cast<int>(n)}, out)))
+        << common::IsaName(isa) << " exp entry";
+    common::SetIsa(isa);
+    for (int threads : kThreadCounts) {
+      common::SetNumThreads(threads);
+      EXPECT_TRUE(BitsEqual(ref, tensor::Exp(x)))
+          << common::IsaName(isa) << " threads=" << threads << " Exp";
+    }
+  }
+}
+
+// RowSoftmax, ELU (fresh and in place) and Sigmoid through every tier at
+// 1, 2 and 7 threads against the scalar tier at 1 thread. Column counts
+// straddle the 8- and 16-lane widths, row counts include fewer rows than
+// lanes, and the inputs mix a wide range (softmax arguments far below -88)
+// with zeros of both signs, infinities and NaN.
+TEST(SimdKernels, ExpOpsBitwiseParityAcrossIsasAndThreadCounts) {
+  DispatchGuard guard;
+  const struct {
+    int rows, cols;
+  } kShapes[] = {{1, 1}, {3, 7}, {15, 17}, {16, 16}, {17, 33},
+                 {33, 100}, {70, 515}};
+  const float kSpecials[] = {0.0f, -0.0f, INFINITY, -INFINITY, NAN,
+                             -200.0f, 1e-40f, -1e-40f, 90.0f};
+  for (const auto& s : kShapes) {
+    common::Rng rng(9000 + s.rows * 1000 + s.cols);
+    Tensor x = RandomTensor({s.rows, s.cols}, &rng, -120.0f, 40.0f);
+    for (int64_t i = 0; i < x.size(); i += 13) {
+      x.flat(i) = kSpecials[(i / 13) % std::size(kSpecials)];
+    }
+    auto run_all = [&x] {
+      Tensor in_place = x;
+      tensor::EluInPlace(&in_place, 0.5f);
+      return std::vector<Tensor>{tensor::RowSoftmax(x), tensor::Elu(x),
+                                 in_place, tensor::Sigmoid(x)};
+    };
+    const char* kOps[] = {"RowSoftmax", "Elu", "EluInPlace", "Sigmoid"};
+    common::SetIsa(common::Isa::kScalar);
+    common::SetNumThreads(1);
+    const std::vector<Tensor> reference = run_all();
+    for (int threads : kThreadCounts) {
+      common::SetNumThreads(threads);
+      for (common::Isa isa : AvailableIsas()) {
+        common::SetIsa(isa);
+        const std::vector<Tensor> got = run_all();
+        for (size_t op = 0; op < got.size(); ++op) {
+          EXPECT_TRUE(BitsEqual(reference[op], got[op]))
+              << kOps[op] << " " << common::IsaName(isa)
+              << " threads=" << threads << " shape " << s.rows << "x"
+              << s.cols;
+        }
+      }
+    }
+  }
+}
+
+// The VNNI table inherits the AVX-512 exp entries (see
+// VnniTableSharesFp32KernelsWithAvx512 for the older fp32 entries).
+TEST(SimdKernels, VnniTableSharesExpEntriesWithAvx512) {
+#if defined(__x86_64__) || defined(_M_X64)
+  const tensor::kernels::KernelTable& vnni =
+      tensor::kernels::Avx512VnniKernels();
+  const tensor::kernels::KernelTable& avx512 =
+      tensor::kernels::Avx512Kernels();
+  EXPECT_EQ(vnni.exp, avx512.exp);
+  EXPECT_EQ(vnni.elu, avx512.elu);
+  EXPECT_EQ(vnni.sigmoid, avx512.sigmoid);
+  EXPECT_EQ(vnni.row_softmax_rows, avx512.row_softmax_rows);
+#else
+  GTEST_SKIP() << "non-x86 build carries only the scalar table";
+#endif
 }
 
 TEST(SimdKernels, GradientBitwiseParityAcrossIsas) {

@@ -1,13 +1,13 @@
 // Kernel benchmark baseline recorder.
 //
 // Times the hot kernels (MatMul, the attention layer's W10 merge / score
-// matvec / outer sum / head concat, row softmax, masked-neighbour-max, the
-// attention aggregator's full forward/backward step, and the dense-vs-CSR
-// density sweep behind the sparse dispatch threshold) at 1/2/4/N kernel
-// threads and writes BENCH_kernels.json: ns/op and items/s per kernel per
-// thread count, alongside the recorded seed (pre-parallelisation, -O2,
-// single-thread) numbers so every future PR's perf claims are checkable
-// against both.
+// matvec / outer sum / head concat, row softmax, ELU, the [2048, 512]
+// transpose, masked-neighbour-max, the attention aggregator's full
+// forward/backward step, and the dense-vs-CSR density sweep behind the
+// sparse dispatch threshold) at 1/2/4/N kernel threads and writes
+// BENCH_kernels.json: ns/op and items/s per kernel per thread count,
+// alongside the recorded seed (pre-parallelisation, -O2, single-thread)
+// numbers so every future PR's perf claims are checkable against both.
 //
 // It also measures end-to-end training and inference steps (forward, MSE
 // loss, release-graph backward, fused Adam update on a flow-aggregation
@@ -18,9 +18,9 @@
 //
 // Usage: bench_baseline [--out PATH] [--e2e-out PATH] [--min-seconds S]
 //                       [--trace-out PATH] [--only-e2e]
-// Regenerate the tracked files from the repo root with:
-//   ./build/tools/bench_baseline --out BENCH_kernels.json \
-//       --e2e-out BENCH_e2e.json
+// Regenerate the tracked files (BENCH_kernels.json and, through the
+// default --e2e-out, BENCH_e2e.json) from the repo root with:
+//   ./build/tools/bench_baseline --out BENCH_kernels.json
 //
 // --trace-out additionally records every kernel span during the sweep and
 // writes a chrome://tracing / Perfetto JSON next to the bench numbers, plus
@@ -182,6 +182,28 @@ void MeasureKernels(int threads, bool large, std::vector<Measurement>* out) {
     });
     out->push_back({"row_softmax_" + std::to_string(n), threads, ns,
                     static_cast<double>(n) * n});
+  }
+  // ELU over one [512, 512] attention score matrix (an n=512 PCG forward
+  // runs 24), and the [2048, 512] transpose MatMul's backward takes of the
+  // head concat and of W10. Own generator, so the rows after keep their
+  // inputs.
+  {
+    constexpr int n = 512;
+    common::Rng extra_rng(2);
+    volatile float sink = 0;
+    const Tensor scores = Tensor::RandomNormal({n, n}, 0, 1, &extra_rng);
+    double ns = TimeNs([&] {
+      Tensor c = tensor::Elu(scores);
+      sink = sink + c.flat(0);
+    });
+    out->push_back({"elu_512", threads, ns, static_cast<double>(n) * n});
+    const Tensor tall = Tensor::RandomNormal({4 * n, n}, 0, 1, &extra_rng);
+    ns = TimeNs([&] {
+      Tensor c = tall.Transpose();
+      sink = sink + c.flat(0);
+    });
+    out->push_back({"transpose_2048x512", threads, ns,
+                    static_cast<double>(4 * n) * n});
   }
   for (int n : {50, 128}) {
     const Tensor h = Tensor::RandomNormal({n, n}, 0, 1, &rng);
