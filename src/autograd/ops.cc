@@ -336,13 +336,31 @@ Variable MatMul(const Variable& a, const Variable& b) {
     Node* pb = b.node().get();
     node->backward_fn = [self, pa, pb]() {
       STGNN_TRACE_SCOPE("MatMul.bwd");
+      // dA = g·Bᵀ and dB = Aᵀ·g. A [1, k] a or a [k, 1] b needs no
+      // transposed matrix: dA = (B·gᵀ)ᵀ and dB = (gᵀ·A)ᵀ, whose vector
+      // transposes are reshapes, give every element the same ascending fma
+      // chain from 0 (fma(x, y, z) == fma(y, x, z)).
+      const Tensor& g = self->grad;
+      const Tensor& a = pa->value;
+      const Tensor& b = pb->value;
+      const int m = a.dim(0);
+      const int k = a.dim(1);
+      const int n = b.dim(1);
       if (pa->requires_grad) {
-        pa->AccumulateGrad(
-            tensor::MatMul(self->grad, pb->value.Transpose()));
+        if (m == 1) {
+          pa->AccumulateGrad(
+              tensor::MatMul(b, g.Reshape({n, 1})).Reshape({1, k}));
+        } else {
+          pa->AccumulateGrad(tensor::MatMul(g, b.Transpose()));
+        }
       }
       if (pb->requires_grad) {
-        pb->AccumulateGrad(
-            tensor::MatMul(pa->value.Transpose(), self->grad));
+        if (n == 1) {
+          pb->AccumulateGrad(
+              tensor::MatMul(g.Reshape({1, m}), a).Reshape({k, 1}));
+        } else {
+          pb->AccumulateGrad(tensor::MatMul(a.Transpose(), g));
+        }
       }
     };
   }

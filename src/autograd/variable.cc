@@ -3,12 +3,58 @@
 #include <unordered_set>
 
 #include "common/counters.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace stgnn::autograd {
 
 using tensor::Shape;
 using tensor::Tensor;
+
+namespace {
+
+// ReduceGradToShape for a [rows, cols] grad and an aligned [out_rows,
+// out_cols] target, without the multi-index walk: each output element is
+// the same chain of float adds from +0, in the same row-major order, as the
+// generic loop below builds.
+Tensor ReduceRank2(const Tensor& grad, int out_rows, int out_cols) {
+  const int rows = grad.dim(0);
+  const int cols = grad.dim(1);
+  Tensor out({out_rows, out_cols});
+  const float* g = grad.data().data();
+  float* o = out.mutable_data().data();
+  if (out_cols == 1 && out_rows == 1) {
+    float sum = 0.0f;
+    for (int64_t e = 0; e < grad.size(); ++e) sum += g[e];
+    o[0] = sum;
+  } else if (out_cols == 1) {
+    // Row sums: one chain per row, ascending column.
+    common::ParallelFor(
+        0, rows, common::GrainFor(rows, cols), [&](int64_t ib, int64_t ie) {
+          for (int64_t i = ib; i < ie; ++i) {
+            const float* row = g + i * cols;
+            float sum = 0.0f;
+            for (int j = 0; j < cols; ++j) sum += row[j];
+            o[i] = sum;
+          }
+        });
+  } else {
+    // Column sums (out_rows == 1: an aligned target equal to the grad's
+    // shape would have returned early): rows added in ascending order,
+    // each column its own chain.
+    STGNN_CHECK_EQ(out_rows, 1);
+    common::ParallelFor(
+        0, cols, common::GrainFor(cols, rows), [&](int64_t jb, int64_t je) {
+          for (int i = 0; i < rows; ++i) {
+            const float* row = g + static_cast<int64_t>(i) * cols;
+            for (int64_t j = jb; j < je; ++j) o[j] += row[j];
+          }
+        });
+  }
+  return out;
+}
+
+}  // namespace
 
 Tensor ReduceGradToShape(const Tensor& grad, const Shape& target_shape) {
   if (grad.shape() == target_shape) return grad;
@@ -20,6 +66,9 @@ Tensor ReduceGradToShape(const Tensor& grad, const Shape& target_shape) {
   Shape aligned(rank, 1);
   std::copy(target_shape.begin(), target_shape.end(),
             aligned.begin() + (rank - target_rank));
+  if (rank == 2) {
+    return ReduceRank2(grad, aligned[0], aligned[1]).Reshape(target_shape);
+  }
 
   Tensor out(aligned);
   // Iterate over all grad elements, folding into the reduced index.

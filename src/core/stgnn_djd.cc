@@ -169,6 +169,17 @@ StgnnDjdModel::StgnnDjdModel(int num_stations, const StgnnConfig& config,
   RegisterSubmodule(output_layer_.get());
 }
 
+std::unique_ptr<StgnnDjdModel> StgnnDjdModel::Clone() const {
+  STGNN_TRACE_SCOPE("StgnnDjd.Clone");
+  auto copy = std::make_unique<StgnnDjdModel>(num_stations_, config_,
+                                              /*rng=*/nullptr);
+  auto dst = copy->parameters();
+  const auto src = parameters();
+  STGNN_CHECK_EQ(dst.size(), src.size());
+  for (size_t i = 0; i < dst.size(); ++i) dst[i].SetValue(src[i].value());
+  return copy;
+}
+
 StgnnDjdModel::FlowStage StgnnDjdModel::RunFlowStage(
     const data::StHistory& history) const {
   const int n = num_stations_;
@@ -283,6 +294,13 @@ StgnnDjdModel::QuantizeWeights(tensor::Precision precision) const {
   std::vector<const autograd::Node*> exclude;
   for (const auto& [pname, p] : named_parameters()) {
     if (pname == "learned_features") exclude.push_back(p.node().get());
+  }
+  if (flow_convolution_) {
+    const FlowConvolution& fc = *flow_convolution_;
+    for (const autograd::Variable* p :
+         {&fc.b1(), &fc.b2(), &fc.b3(), &fc.b4(), &fc.w5(), &fc.w6()}) {
+      exclude.push_back(p->node().get());
+    }
   }
   if (pcg_branch_) {
     for (int l = 0; l < pcg_branch_->num_attention_layers(); ++l) {

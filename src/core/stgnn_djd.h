@@ -90,8 +90,15 @@ class PcgBranch : public nn::Module {
 // (pinned by tests/staged_forward_test.cc).
 class StgnnDjdModel : public nn::Module {
  public:
+  // `rng` draws the initial weights; a null rng builds the shapes only
+  // (every parameter zero), for callers that overwrite every value.
   StgnnDjdModel(int num_stations, const StgnnConfig& config,
                 common::Rng* rng);
+
+  // A new model with this one's station count, config and parameter
+  // values. Builds the module tree from a null rng, so no random init is
+  // drawn only to be overwritten.
+  std::unique_ptr<StgnnDjdModel> Clone() const;
 
   // Returns the [n, 2] normalised demand/supply prediction for the slot
   // whose history is given. `dropout_rng` is only used when training.
@@ -127,10 +134,12 @@ class StgnnDjdModel : public nn::Module {
   // inference-only quantized forward (autograd::QuantizedInferenceScope).
   // `learned_features` is excluded: in the No-FC variant it flows through
   // the graph as node *features*, not as a weight operand, and quantizing
-  // it would break staged-vs-monolithic forward parity. The attention W8_u
-  // are excluded too: the folded Eq. (11) only multiplies them into the
-  // [f, 1] score vectors, so no MatMul has W8 as its right operand and an
-  // int8 copy would never be read. Returns null for fp32. The set aliases
+  // it would break staged-vs-monolithic forward parity. Weights that are
+  // never a MatMul right operand are excluded too, since their int8 copy
+  // would never be read: the attention W8_u (the folded Eq. (11) only
+  // multiplies them into the [f, 1] score vectors), the flow-convolution
+  // biases b1-b4 (added, Eq. (1)-(4)) and the gate weights W5/W6 (the left
+  // operand of Eq. (5)-(8)). Returns null for fp32. The set aliases
   // this model's current weight values; rebuild it after any parameter
   // update.
   std::shared_ptr<const autograd::QuantizedWeightSet> QuantizeWeights(

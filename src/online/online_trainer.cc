@@ -101,9 +101,10 @@ Status OnlineTrainer::WarmStart() {
   store_capacity_ = window_ + options_.train_window + options_.holdout_slots +
                     horizon_ + options_.replay_slack;
   common::BufferPool::Global()->SetEnabled(config_.buffer_pool);
-  shadow_ = CloneModel(*live->model);
-  baseline_ = CloneModel(*live->model);
+  shadow_ = live->model->Clone();
+  baseline_ = live->model->Clone();
   baseline_version_ = live->version;
+  baseline_holdout_.clear();
   adam_ = std::make_unique<nn::Adam>(shadow_->parameters(),
                                      config_.learning_rate);
   total_steps_ = 0;
@@ -115,20 +116,6 @@ Status OnlineTrainer::WarmStart() {
   fetched_through_ = 0;
   warm_started_ = true;
   return Status::OK();
-}
-
-std::unique_ptr<core::StgnnDjdModel> OnlineTrainer::CloneModel(
-    const core::StgnnDjdModel& src) const {
-  common::Rng rng(config_.seed);
-  auto copy =
-      std::make_unique<core::StgnnDjdModel>(num_stations_, config_, &rng);
-  auto dst = copy->parameters();
-  const auto params = src.parameters();
-  STGNN_CHECK_EQ(dst.size(), params.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    dst[i].SetValue(params[i].value());
-  }
-  return copy;
 }
 
 const OnlineTrainer::StoredSlot& OnlineTrainer::StoreAt(int slot) const {
@@ -268,16 +255,26 @@ void OnlineTrainer::TrainStep(int first, int last) {
   STGNN_COUNTER_INC("online.steps");
 }
 
-HoldoutMetrics OnlineTrainer::Evaluate(const core::StgnnDjdModel& model,
-                                       int first, int last) const {
+void OnlineTrainer::PredictHoldout(const core::StgnnDjdModel& model,
+                                   int first, int last,
+                                   HoldoutPredictions* predictions) {
   STGNN_TRACE_SCOPE("Online.Evaluate");
+  for (int t = first; t <= last; ++t) {
+    if (predictions->count(t) != 0) continue;
+    const data::StHistory history = AssembleHistory(t);
+    (*predictions)[t] =
+        model.Forward(history, /*training=*/false, nullptr).value();
+    ++stats_.holdout_forwards;
+  }
+}
+
+HoldoutMetrics OnlineTrainer::Score(const HoldoutPredictions& predictions,
+                                    int first, int last) const {
   double sum_sq = 0.0;
   double sum_abs = 0.0;
   int64_t count = 0;
   for (int t = first; t <= last; ++t) {
-    const data::StHistory history = AssembleHistory(t);
-    const Tensor prediction =
-        model.Forward(history, /*training=*/false, nullptr).value();
+    const Tensor& prediction = predictions.at(t);
     const Tensor target = NormalizedTarget(t);
     for (int64_t i = 0; i < prediction.size(); ++i) {
       const double err = prediction.flat(i) - target.flat(i);
@@ -299,7 +296,7 @@ uint64_t OnlineTrainer::PublishCandidate() {
   STGNN_TRACE_SCOPE("Online.Publish");
   // The shadow keeps training after the swap, so the published snapshot
   // gets its own immutable weight copy.
-  std::shared_ptr<const core::StgnnDjdModel> model(CloneModel(*shadow_));
+  std::shared_ptr<const core::StgnnDjdModel> model(shadow_->Clone());
   serve::ModelSnapshot snapshot(std::move(model), *normalizer_, input_scale_,
                                 config_);
   if (config_.infer_precision != tensor::Precision::kFp32) {
@@ -344,8 +341,9 @@ Result<PollResult> OnlineTrainer::PollLocked() {
   // is actually serving.
   if (auto live = channel_.live();
       live != nullptr && live->version != baseline_version_) {
-    baseline_ = CloneModel(*live->model);
+    baseline_ = live->model->Clone();
     baseline_version_ = live->version;
+    baseline_holdout_.clear();
   }
 
   for (int s = 0; s < options_.steps_per_round; ++s) {
@@ -354,8 +352,17 @@ Result<PollResult> OnlineTrainer::PollLocked() {
     ++stats_.steps;
   }
 
-  result.candidate = Evaluate(*shadow_, holdout_min, t_max);
-  result.live = Evaluate(*baseline_, holdout_min, t_max);
+  // An inference forward is a pure function of (weights, history), so the
+  // baseline's predictions for slots an earlier round already scored are
+  // reused; only the slots new to the holdout window run a forward.
+  HoldoutPredictions candidate;
+  PredictHoldout(*shadow_, holdout_min, t_max, &candidate);
+  std::erase_if(baseline_holdout_, [&](const auto& entry) {
+    return entry.first < holdout_min || entry.first > t_max;
+  });
+  PredictHoldout(*baseline_, holdout_min, t_max, &baseline_holdout_);
+  result.candidate = Score(candidate, holdout_min, t_max);
+  result.live = Score(baseline_holdout_, holdout_min, t_max);
   result.evaluated = true;
   ++stats_.evaluations;
   stats_.last_candidate_rmse = result.candidate.rmse;
@@ -392,8 +399,11 @@ Result<PollResult> OnlineTrainer::PollLocked() {
       t_max - last_swap_slot_ >= options_.min_slots_between_swaps;
   if (win_streak_ >= options_.patience && cooled) {
     const uint64_t version = PublishCandidate();
-    baseline_ = CloneModel(*shadow_);
+    baseline_ = shadow_->Clone();
     baseline_version_ = version;
+    // The new baseline has the shadow's weights: its holdout predictions
+    // are the candidate's.
+    baseline_holdout_ = std::move(candidate);
     win_streak_ = 0;
     last_swap_slot_ = t_max;
     result.published = true;
@@ -458,6 +468,7 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
   }
   total_steps_ = state.total_steps;
   baseline_version_ = state.baseline_version;
+  baseline_holdout_.clear();
   win_streak_ = state.win_streak;
   last_swap_slot_ = state.last_swap_slot;
   store_.clear();

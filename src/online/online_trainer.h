@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -92,6 +93,9 @@ struct OnlineTrainerStats {
   int64_t evaluations = 0;
   int64_t swaps = 0;
   int64_t rejected_candidates = 0;
+  // Inference forwards run by the holdout gate: the shadow on every
+  // holdout slot, the baseline only on slots it has no prediction for.
+  int64_t holdout_forwards = 0;
   double last_candidate_rmse = 0.0;
   double last_live_rmse = 0.0;
   double rolling_holdout_rmse = 0.0;
@@ -146,7 +150,11 @@ struct TrainerState {
 // The live model object itself is never forwarded by the trainer — serving
 // forwards mutate the model's attention cache, so the trainer evaluates
 // against its own clone of the published weights (resynced whenever an
-// external publish changes the live version).
+// external publish changes the live version). The baseline's holdout
+// predictions are kept by slot and reused while its weights stand: a round
+// forwards the baseline only on the slot(s) new to the holdout window, a
+// publish hands the candidate's predictions over with its weights, and
+// WarmStart, ImportState and an external-publish resync drop them.
 //
 // Thread-safety: Poll(), ExportState(), ImportState() and stats() are
 // mutually serialised by an internal mutex. Start() runs Poll on a
@@ -205,13 +213,16 @@ class OnlineTrainer {
   tensor::Tensor NormalizedTarget(int t) const;
   // One full-batch fused-Adam step over train slots [first, last].
   void TrainStep(int first, int last);
-  // Inference forward of `model` over holdout slots [first, last] against
-  // the normalised targets.
-  HoldoutMetrics Evaluate(const core::StgnnDjdModel& model, int first,
-                          int last) const;
-  // Fresh model with `src`'s current weights (same config/station count).
-  std::unique_ptr<core::StgnnDjdModel> CloneModel(
-      const core::StgnnDjdModel& src) const;
+  // Normalised [n, 2*horizon] inference predictions by slot.
+  using HoldoutPredictions = std::map<int, tensor::Tensor>;
+  // Inference forward of `model` on each holdout slot in [first, last] that
+  // `predictions` does not hold yet.
+  void PredictHoldout(const core::StgnnDjdModel& model, int first, int last,
+                      HoldoutPredictions* predictions);
+  // RMSE/MAE of `predictions` over slots [first, last] against the
+  // normalised targets, accumulated in slot order.
+  HoldoutMetrics Score(const HoldoutPredictions& predictions, int first,
+                       int last) const;
   // Publishes an immutable clone of the shadow; returns the version.
   uint64_t PublishCandidate();
   const StoredSlot& StoreAt(int slot) const;
@@ -232,6 +243,7 @@ class OnlineTrainer {
   std::unique_ptr<core::StgnnDjdModel> shadow_;
   std::unique_ptr<core::StgnnDjdModel> baseline_;
   uint64_t baseline_version_ = 0;
+  HoldoutPredictions baseline_holdout_;  // baseline_'s, by slot
   std::unique_ptr<nn::Adam> adam_;
   int64_t total_steps_ = 0;
   int win_streak_ = 0;

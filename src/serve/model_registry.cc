@@ -1,7 +1,6 @@
 #include "serve/model_registry.h"
 
 #include "common/counters.h"
-#include "common/rng.h"
 #include "nn/serialize.h"
 
 namespace stgnn::serve {
@@ -42,11 +41,9 @@ Result<ModelSnapshot> SnapshotFromCheckpoint(
     const core::StgnnConfig& config, int num_stations,
     const std::string& checkpoint_path, data::MinMaxNormalizer normalizer,
     float input_scale) {
-  // The constructor draws initial weights from the seed; every parameter is
-  // then overwritten by the checkpoint, so the rng only fixes shapes.
-  common::Rng rng(config.seed);
-  auto model =
-      std::make_shared<core::StgnnDjdModel>(num_stations, config, &rng);
+  // Shapes only: every parameter is overwritten by the checkpoint.
+  auto model = std::make_shared<core::StgnnDjdModel>(num_stations, config,
+                                                     /*rng=*/nullptr);
   STGNN_RETURN_NOT_OK(nn::LoadParameters(checkpoint_path, model.get()));
   return ModelSnapshot(std::move(model), std::move(normalizer), input_scale,
                        config);

@@ -85,8 +85,10 @@ Status ShardFleet::Push(int slot, const Tensor& inflow,
 }
 
 uint64_t ShardFleet::Publish(const ModelSnapshot& snapshot) {
+  std::lock_guard<std::mutex> lock(publish_mu_);
   uint64_t version = 0;
   for (int s = 0; s < num_shards(); ++s) {
+    if (s > 0 && publish_hook_for_test_) publish_hook_for_test_(s);
     const uint64_t assigned = shards_[s]->registry->Publish(snapshot);
     if (s == 0) {
       version = assigned;
@@ -96,6 +98,15 @@ uint64_t ShardFleet::Publish(const ModelSnapshot& snapshot) {
     }
   }
   return version;
+}
+
+void ShardFleet::AwaitPublish() const {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+}
+
+void ShardFleet::SetPublishHookForTest(std::function<void(int)> hook) {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  publish_hook_for_test_ = std::move(hook);
 }
 
 int ShardFleet::next_slot() const {
@@ -374,8 +385,13 @@ PredictResponse ShardRouter::Serve(const PredictRequest& request) {
   Status last_race = Status::OK();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.retries;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.retries;
+      }
+      // A version race can mean a publish is part-way through the shards;
+      // re-resolving before it finishes would race it again.
+      fleet_->AwaitPublish();
     }
     const uint64_t version = fleet_->current_version();
     if (version == 0) {

@@ -59,8 +59,17 @@ class ShardFleet {
               const tensor::Tensor& outflow);
 
   // Publishes one snapshot to every shard registry and returns the (lockstep)
-  // version all of them assigned.
+  // version all of them assigned. Publishes are serialised.
   uint64_t Publish(const ModelSnapshot& snapshot);
+
+  // Returns once no Publish is between its first and last shard swap. A
+  // router retrying a version race waits here, so a publisher descheduled
+  // between two shards cannot outlast the retries.
+  void AwaitPublish() const;
+
+  // Runs before each shard swap after the first, inside Publish (tests
+  // widen the torn window with it).
+  void SetPublishHookForTest(std::function<void(int shard)> hook);
 
   // The slot "latest" resolves to: the minimum ingest frontier across
   // shards (they ingest the same stream, so normally all agree).
@@ -99,6 +108,10 @@ class ShardFleet {
   const graph::Partition partition_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<InProcessTransport> transport_;
+
+  // Held across a Publish's shard swaps.
+  mutable std::mutex publish_mu_;
+  std::function<void(int)> publish_hook_for_test_;
 
   // Build-once latch per (slot, version): the first caller runs the rounds,
   // the rest wait on its outcome.

@@ -12,11 +12,36 @@
 namespace stgnn::tensor {
 namespace {
 
-inline int8_t ClampToInt8(float scaled, int limit) {
-  const long r = std::lrintf(scaled);
-  const long clamped =
-      std::max<long>(-limit, std::min<long>(limit, r));
-  return static_cast<int8_t>(clamped);
+// std::lrintf(x) clamped to [-127, 127], without the libm call. lrintf is
+// cvtss2si into a long: NaN and |x| >= 2^63 give LONG_MIN, which clamps to
+// -127; every other x rounds to nearest even. Clamping before rounding
+// gives the same integer because the limits are integers, and for
+// |c| <= 127 adding 1.5 * 2^23 lands in [2^23, 2^24), where floats are the
+// integers: the add rounds c to nearest even (1.5 * 2^23 is even) and the
+// subtraction is exact. Branch-free, so the loop below vectorises.
+inline int8_t QuantizeWeight(float x) {
+  constexpr float kRound = 0x1.8p23f;
+  const float y = std::fabs(x) < 0x1p63f ? x : -127.0f;
+  const float c = std::min(std::max(y, -127.0f), 127.0f);
+  return static_cast<int8_t>(static_cast<int>((c + kRound) - kRound));
+}
+
+// max |w| over finite and infinite entries, NaN skipped — the value of the
+// ascending std::max(acc, fabs(w)) chain, which no order can change (max
+// over a set of non-NaN floats is exact). Independent lanes vectorise.
+float AbsMax(const float* d, int64_t size) {
+  constexpr int kLanes = 16;
+  float lanes[kLanes] = {};
+  int64_t i = 0;
+  for (; i + kLanes <= size; i += kLanes) {
+    for (int l = 0; l < kLanes; ++l) {
+      lanes[l] = std::max(lanes[l], std::fabs(d[i + l]));
+    }
+  }
+  float absmax = 0.0f;
+  for (; i < size; ++i) absmax = std::max(absmax, std::fabs(d[i]));
+  for (float v : lanes) absmax = std::max(absmax, v);
+  return absmax;
 }
 
 }  // namespace
@@ -30,22 +55,21 @@ QuantizedTensor QuantizeInt8(const Tensor& w) {
   q.rows = k;
   q.cols = n;
   const float* d = w.data().data();
-  float absmax = 0.0f;
-  for (int64_t i = 0; i < w.size(); ++i) {
-    absmax = std::max(absmax, std::fabs(d[i]));
-  }
+  const float absmax = AbsMax(d, w.size());
   q.scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
   const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
   q.packed.assign(static_cast<size_t>(k4) * n * 4, 0);
   q.col_sums.assign(static_cast<size_t>(n), 0);
+  int32_t* col_sums = q.col_sums.data();
   for (int p = 0; p < k; ++p) {
     const float* row = d + static_cast<size_t>(p) * n;
-    const int64_t p4 = p / 4;
-    const int lane = p % 4;
+    // Row p is lane p % 4 of interleaved group p / 4.
+    int8_t* lane =
+        q.packed.data() + static_cast<size_t>(p / 4) * n * 4 + p % 4;
     for (int j = 0; j < n; ++j) {
-      const int8_t v = ClampToInt8(row[j] * inv, 127);
-      q.packed[static_cast<size_t>((p4 * n + j) * 4 + lane)] = v;
-      q.col_sums[static_cast<size_t>(j)] += v;
+      const int8_t v = QuantizeWeight(row[j] * inv);
+      lane[4 * j] = v;
+      col_sums[j] += v;
     }
   }
   return q;

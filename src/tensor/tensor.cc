@@ -154,7 +154,7 @@ Tensor Tensor::FromVector(std::vector<float> values) {
 
 Tensor Tensor::RandomUniform(Shape shape, float lo, float hi,
                              common::Rng* rng) {
-  STGNN_CHECK(rng != nullptr);
+  if (rng == nullptr) return Tensor(std::move(shape));
   Tensor t(UninitializedTag{}, std::move(shape));
   for (auto& v : t.data_) {
     v = static_cast<float>(rng->Uniform(lo, hi));
@@ -164,7 +164,7 @@ Tensor Tensor::RandomUniform(Shape shape, float lo, float hi,
 
 Tensor Tensor::RandomNormal(Shape shape, float mean, float stddev,
                             common::Rng* rng) {
-  STGNN_CHECK(rng != nullptr);
+  if (rng == nullptr) return Tensor(std::move(shape));
   Tensor t(UninitializedTag{}, std::move(shape));
   for (auto& v : t.data_) {
     v = static_cast<float>(rng->Normal(mean, stddev));
@@ -720,7 +720,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                         });
     return out;
   }
-  if (static_cast<int64_t>(m) * k * n <= kt.mm_small_flops) {
+  // A single row gains nothing from packing B: the row-tiled kernel would
+  // stage it as a zero-padded 4-row tile.
+  if (m == 1 || static_cast<int64_t>(m) * k * n <= kt.mm_small_flops) {
     // The small kernel accumulates += into the output, so it needs zeros.
     Tensor out({m, n});
     kt.matmul_small(pa, pb, out.mutable_data().data(), m, k, n);

@@ -61,10 +61,13 @@ class Tensor {
   static Tensor Uninitialized(Shape shape);
   // 1-D tensor from the given values (adopts the buffer).
   static Tensor FromVector(std::vector<float> values);
-  // Uniform in [lo, hi).
+  // Uniform in [lo, hi). A null rng draws nothing and returns zeros: every
+  // random init goes through these two, so constructing a module with a
+  // null rng builds its shapes only (StgnnDjdModel::Clone then copies the
+  // values in).
   static Tensor RandomUniform(Shape shape, float lo, float hi,
                               common::Rng* rng);
-  // Gaussian with the given mean/stddev.
+  // Gaussian with the given mean/stddev; zeros for a null rng, as above.
   static Tensor RandomNormal(Shape shape, float mean, float stddev,
                              common::Rng* rng);
 

@@ -1,4 +1,9 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
@@ -75,6 +80,61 @@ TEST(ReduceGradTest, SumsOverBroadcastAxes) {
                   .AllClose(Tensor({2, 1}, {3, 3})));
   EXPECT_TRUE(ReduceGradToShape(g, {3}).AllClose(Tensor({3}, {2, 2, 2})));
   EXPECT_NEAR(ReduceGradToShape(g, {}).item(), 6.0f, 1e-6);
+}
+
+::testing::AssertionResult SameBits(const Tensor& got, const Tensor& want) {
+  if (got.shape() != want.shape()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  for (int64_t i = 0; i < want.size(); ++i) {
+    uint32_t g, w;
+    const float gv = got.flat(i);
+    const float wv = want.flat(i);
+    std::memcpy(&g, &gv, 4);
+    std::memcpy(&w, &wv, 4);
+    if (g != w) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << gv << " vs " << wv;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The rank-2 path against the generic multi-index loop, which a leading
+// unit axis forces ([1, r, c] sums in the same row-major order): every
+// output bit matches, through signed zeros, infinities, NaN and denormals.
+// The input NaN is x86's default NaN, the one inf - inf produces: a
+// compiler may order a float add's operands either way, and only two NaNs
+// of different bits meeting could tell the orders apart.
+TEST(ReduceGradTest, Rank2PathMatchesGenericLoopBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
+           {1, 1}, {1, 9}, {9, 1}, {7, 13}, {64, 300}, {300, 64}}) {
+    Tensor g = RandomTensor({rows, cols}, 77 + rows * cols);
+    // A few cells scaled into the denormal range, so some sums stay there.
+    for (int64_t e = 0; e < g.size(); e += 5) g.flat(e) *= 1e-38f;
+    if (rows >= 7 && cols >= 7) {
+      // Row 0 meets +inf and -inf (NaN); row 2 a NaN; row 3 and column 6
+      // are all -0 (the sums start at +0); two denormals cancel in row 4.
+      g.at(0, 1) = inf;
+      g.at(0, 5) = -inf;
+      g.at(2, 3) = nan;
+      for (int j = 0; j < cols; ++j) g.at(3, j) = -0.0f;
+      for (int i = 0; i < rows; ++i) g.at(i, 6) = -0.0f;
+      g.at(4, 0) = denorm;
+      g.at(4, 2) = -denorm;
+    }
+    const Tensor generic_src = g.Reshape({1, rows, cols});
+    for (const Shape& target : std::vector<Shape>{
+             {rows, 1}, {1, cols}, {cols}, {1, 1}, {1}, {}}) {
+      if (target == g.shape()) continue;
+      EXPECT_TRUE(SameBits(ReduceGradToShape(g, target),
+                           ReduceGradToShape(generic_src, target)))
+          << rows << "x" << cols << " -> rank " << target.size();
+    }
+  }
 }
 
 // --- Numerical gradient checks per op ---

@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
+#include "autograd/inference_precision.h"
 #include "core/aggregators.h"
 #include "core/config.h"
 #include "core/flow_convolution.h"
@@ -325,6 +328,85 @@ TEST(AttentionAggregatorTest, QuantizedWeightSetLeavesOutW8) {
       EXPECT_NE(set->Find(layer.phi(u).node().get()), nullptr);
     }
   }
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// The int8 set holds only weights some MatMul reads as its right operand:
+// the flow-convolution biases (added) and gate weights W5/W6 (left
+// operand) stay out, and leaving them out moves no int8 output bit.
+TEST(AttentionAggregatorTest, QuantizedWeightSetHoldsOnlyRightOperands) {
+  common::Rng rng(12);
+  StgnnConfig config = FastConfig();
+  StgnnDjdModel model(16, config, &rng);
+  const auto set = model.QuantizeWeights(tensor::Precision::kInt8);
+  ASSERT_NE(set, nullptr);
+  const FlowConvolution& fc = *model.flow_convolution();
+  for (const Variable* p :
+       {&fc.b1(), &fc.b2(), &fc.b3(), &fc.b4(), &fc.w5(), &fc.w6()}) {
+    EXPECT_EQ(set->Find(p->node().get()), nullptr);
+  }
+  EXPECT_NE(set->Find(fc.w7().node().get()), nullptr);
+
+  // The same forward through a set that also carries the six.
+  std::vector<const autograd::Node*> w8_only;
+  const PcgBranch& pcg = *model.pcg_branch();
+  for (int l = 0; l < pcg.num_attention_layers(); ++l) {
+    for (int u = 0; u < pcg.attention_layer(l).num_heads(); ++u) {
+      w8_only.push_back(pcg.attention_layer(l).w8(u).node().get());
+    }
+  }
+  const auto wider = autograd::BuildQuantizedWeightSet(
+      tensor::Precision::kInt8, model.parameters(), w8_only);
+  EXPECT_EQ(wider->tensors(), set->tensors() + 6);
+  common::Rng data_rng(13);
+  data::StHistory history;
+  history.inflow_short = Tensor::RandomUniform(
+      {config.short_term_slots, 16 * 16}, 0.0f, 1.0f, &data_rng);
+  history.outflow_short = Tensor::RandomUniform(
+      {config.short_term_slots, 16 * 16}, 0.0f, 1.0f, &data_rng);
+  history.inflow_long = Tensor::RandomUniform(
+      {config.long_term_days, 16 * 16}, 0.0f, 1.0f, &data_rng);
+  history.outflow_long = Tensor::RandomUniform(
+      {config.long_term_days, 16 * 16}, 0.0f, 1.0f, &data_rng);
+  auto int8_forward = [&](const autograd::QuantizedWeightSet* weights) {
+    autograd::QuantizedInferenceScope scope(weights);
+    return model.Forward(history, /*training=*/false, nullptr).value();
+  };
+  EXPECT_TRUE(BitEqual(int8_forward(set.get()), int8_forward(wider.get())));
+}
+
+// Clone copies every parameter value bit for bit into storage of its own,
+// and the copy's forward is the source's.
+TEST(StgnnModelTest, CloneCopiesValuesAndForward) {
+  common::Rng rng(14);
+  const auto& flow = TestFlow();
+  StgnnConfig config = FastConfig();
+  StgnnDjdModel model(flow.num_stations, config, &rng);
+  const std::unique_ptr<StgnnDjdModel> copy = model.Clone();
+  const auto src = model.parameters();
+  const auto dst = copy->parameters();
+  ASSERT_EQ(dst.size(), src.size());
+  ASSERT_GT(src.size(), 0u);
+  for (size_t i = 0; i < src.size(); ++i) {
+    EXPECT_TRUE(BitEqual(dst[i].value(), src[i].value())) << "parameter " << i;
+    EXPECT_NE(dst[i].node(), src[i].node()) << "parameter " << i;
+  }
+  const int t = flow.FirstPredictableSlot(config.short_term_slots,
+                                          config.long_term_days);
+  const data::StHistory history = data::BuildStHistory(
+      flow, t, config.short_term_slots, config.long_term_days, 0.1f);
+  const Tensor want = model.Forward(history, false, nullptr).value();
+  EXPECT_TRUE(BitEqual(copy->Forward(history, false, nullptr).value(), want));
+  // Independent storage: moving the source leaves the copy's forward alone.
+  for (auto& p : model.parameters()) {
+    p.SetValue(tensor::AddScalar(p.value(), 1.0f));
+  }
+  EXPECT_TRUE(BitEqual(copy->Forward(history, false, nullptr).value(), want));
 }
 
 TEST(FlowAggregatorTest, RespectsWeights) {

@@ -294,6 +294,78 @@ TEST(OnlineTrainerTest, PatienceRequiresConsecutiveWins) {
   EXPECT_EQ(publishes, evaluations / options.patience);
 }
 
+// -- Holdout memo -----------------------------------------------------------
+
+void ExpectSameMetrics(const HoldoutMetrics& got, const HoldoutMetrics& want) {
+  EXPECT_EQ(got.rmse, want.rmse);
+  EXPECT_EQ(got.mae, want.mae);
+  EXPECT_EQ(got.slots, want.slots);
+}
+
+// The gate keeps the baseline's holdout predictions by slot. A trainer whose
+// memo is dropped after every round (ImportState clears it) returns the same
+// PollResults, bit for bit, through rejected rounds, unpublished wins,
+// publishes and an external publish, while the one that keeps it runs 3
+// holdout forwards per round instead of 4 (2 holdout slots: the shadow on
+// both, the baseline on the one new to the window).
+TEST(OnlineTrainerTest, HoldoutMemoLeavesPollResultsUnchanged) {
+  constexpr int kExternalPublishAt = 17;
+  OnlineTrainerOptions patient = ForcedGate();
+  patient.patience = 2;
+  for (const OnlineTrainerOptions& options : {StrictGate(), patient}) {
+    OnlineHarness a;
+    OnlineHarness b;
+    a.Publish();
+    b.Publish();
+    OnlineTrainer kept(&a.ring, SnapshotChannel::ForRegistry(&a.registry),
+                       options);
+    OnlineTrainer dropped(&b.ring, SnapshotChannel::ForRegistry(&b.registry),
+                          options);
+    ASSERT_TRUE(kept.WarmStart().ok());
+    ASSERT_TRUE(dropped.WarmStart().ok());
+    int evaluated = 0;
+    int published = 0;
+    int64_t kept_forwards = 0;
+    for (int t = 12; t < 22; ++t) {
+      a.Push(t);
+      b.Push(t);
+      if (t == kExternalPublishAt) {
+        // A manual swap: both trainers resync their baseline to it.
+        for (OnlineHarness* h : {&a, &b}) {
+          h->registry.Publish(ModelSnapshot(
+              MakeModel(h->flow.num_stations, h->config, 9), h->normalizer,
+              h->scale, h->config));
+        }
+      }
+      const PollResult got = kept.Poll().ValueOrDie();
+      const PollResult want = dropped.Poll().ValueOrDie();
+      ASSERT_TRUE(dropped.ImportState(dropped.ExportState()).ok());
+      EXPECT_EQ(got.ingested_slots, want.ingested_slots);
+      EXPECT_EQ(got.steps, want.steps);
+      ASSERT_EQ(got.evaluated, want.evaluated);
+      ExpectSameMetrics(got.candidate, want.candidate);
+      ExpectSameMetrics(got.live, want.live);
+      EXPECT_EQ(got.published, want.published);
+      EXPECT_EQ(got.published_version, want.published_version);
+      const int64_t forwards = kept.stats().holdout_forwards - kept_forwards;
+      kept_forwards = kept.stats().holdout_forwards;
+      if (!got.evaluated) {
+        EXPECT_EQ(forwards, 0);
+        continue;
+      }
+      const bool fresh = evaluated == 0 || t == kExternalPublishAt;
+      EXPECT_EQ(forwards, fresh ? 4 : 3) << "frontier " << t + 1;
+      ++evaluated;
+      if (got.published) ++published;
+    }
+    ASSERT_GE(evaluated, 4);
+    EXPECT_EQ(dropped.stats().holdout_forwards, 4 * evaluated);
+    const bool publishes = options.improvement_margin < 0.0f;
+    EXPECT_EQ(published, publishes ? evaluated / 2 : 0);
+    EXPECT_EQ(kept.stats().rejected_candidates, publishes ? 0 : evaluated);
+  }
+}
+
 // -- State export / import --------------------------------------------------
 
 void ExpectTensorsEqual(const std::vector<Tensor>& got,

@@ -452,5 +452,48 @@ TEST(ShardServingTest, HotSwapUnderLoadNeverTearsVersions) {
   EXPECT_EQ(h.router.stats().failed, 0);
 }
 
+// A publisher held up between shard swaps (5 ms before each swap after the
+// first) must not fail a request: a router retry waits for the in-flight
+// publish instead of spending its retries against shards still on the old
+// version.
+TEST(ShardServingTest, RetriesWaitOutAnInFlightFleetPublish) {
+  ShardHarness h(/*num_shards=*/2, /*service_workers=*/2, TestConfig());
+  const int kVersions = 4;
+  std::vector<std::shared_ptr<const core::StgnnDjdModel>> models;
+  for (int v = 0; v < kVersions; ++v) {
+    models.push_back(MakeModel(h.flow.num_stations, h.config, 200 + v));
+  }
+  h.fleet.SetPublishHookForTest([](int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  h.fleet.Publish(ModelSnapshot(models[0], h.normalizer, h.scale, h.config));
+  h.fleet.Start();
+  h.router.Start();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> served{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&] {
+      while (!done.load()) {
+        const PredictResponse response = h.router.Predict({});
+        response.ok() ? served.fetch_add(1) : failed.fetch_add(1);
+      }
+    });
+  }
+  for (int v = 1; v < kVersions; ++v) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    h.fleet.Publish(ModelSnapshot(models[v], h.normalizer, h.scale, h.config));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  done.store(true);
+  for (auto& c : clients) c.join();
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(h.router.stats().failed, 0);
+  EXPECT_EQ(h.fleet.current_version(), static_cast<uint64_t>(kVersions));
+}
+
 }  // namespace
 }  // namespace stgnn::serve

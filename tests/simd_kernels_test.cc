@@ -12,6 +12,7 @@
 // dispatched kernels per ISA, and gradients themselves are compared
 // bitwise across ISAs.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -158,6 +159,49 @@ TEST(SimdKernels, BlockedMatMulMatchesFullKChainAcrossIsasAndThreadCounts) {
         EXPECT_TRUE(BitsEqual(chain, tensor::MatMul(a, b)))
             << common::IsaName(isa) << " threads=" << threads << " shape "
             << s.m << "x" << s.k << "x" << s.n;
+      }
+    }
+  }
+}
+
+// A single-row left operand takes the unpacked axpy kernel whatever its
+// flop count. Each element must still be the ascending fma chain from 0
+// that the packed path computes for the same row inside a taller product:
+// widths straddle every lane and strip tail, k runs up to 2051.
+TEST(SimdKernels, SingleRowMatMulMatchesFullKChainAcrossIsasAndThreadCounts) {
+  DispatchGuard guard;
+  const int kWidths[] = {1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                         129};
+  const int kDepths[] = {1, 3, 64, 65, 257, 2051};
+  for (int k : kDepths) {
+    for (int n : kWidths) {
+      common::Rng rng(12000 + 7 * k + n);
+      const Tensor a = RandomTensor({1, k}, &rng);
+      const Tensor b = RandomTensor({k, n}, &rng);
+      Tensor chain({1, n});
+      for (int j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (int p = 0; p < k; ++p) {
+          acc = std::fmaf(a.flat(p), b.flat(static_cast<int64_t>(p) * n + j),
+                          acc);
+        }
+        chain.flat(j) = acc;
+      }
+      // The same row as row 0 of a 9-row product (packed path when big).
+      Tensor tall = RandomTensor({9, k}, &rng);
+      std::copy(a.data().begin(), a.data().end(), tall.mutable_data().begin());
+      for (int threads : kThreadCounts) {
+        common::SetNumThreads(threads);
+        for (common::Isa isa : AvailableIsas()) {
+          common::SetIsa(isa);
+          const Tensor got = tensor::MatMul(a, b);
+          EXPECT_TRUE(BitsEqual(chain, got))
+              << common::IsaName(isa) << " threads=" << threads << " 1x" << k
+              << "x" << n;
+          EXPECT_TRUE(BitsEqual(chain, tensor::MatMul(tall, b).Row(0)))
+              << common::IsaName(isa) << " threads=" << threads << " 9x" << k
+              << "x" << n << " row 0";
+        }
       }
     }
   }
@@ -642,6 +686,46 @@ TEST(SimdKernels, GradientBitwiseParityAcrossIsas) {
           << common::IsaName(isa) << " threads=" << threads << " grad a";
       EXPECT_TRUE(BitsEqual(reference.second, got.second))
           << common::IsaName(isa) << " threads=" << threads << " grad b";
+    }
+  }
+}
+
+// MatMul backward forms a vector operand's gradients without Transpose:
+// dA = MatVec(B, g) for a row-vector product, dA = g·b as [1, k] for a
+// column-vector b, dB = (gᵀ·A)ᵀ for a column-vector product and dB = aᵀ·g
+// for a row-vector a. Each must equal the explicit-transpose formula
+// dA = g·Bᵀ, dB = Aᵀ·g bit for bit, on every ISA and thread count.
+TEST(SimdKernels, VectorOperandMatMulGradsMatchTransposeFormulas) {
+  DispatchGuard guard;
+  const struct {
+    int m, k, n;
+  } kShapes[] = {{1, 5, 37},  {1, 300, 129}, {1, 2051, 8}, {37, 5, 1},
+                 {129, 300, 1}, {8, 2051, 1}, {1, 17, 1},  {1, 1, 33}};
+  for (const auto& s : kShapes) {
+    common::Rng rng(15000 + s.m + s.k + s.n);
+    Tensor av = RandomTensor({s.m, s.k}, &rng);
+    const Tensor bv = RandomTensor({s.k, s.n}, &rng);
+    Tensor gv = RandomTensor({s.m, s.n}, &rng);
+    // Signed zeros and a denormal on the chains' way.
+    av.flat(0) = -0.0f;
+    gv.flat(0) = -0.0f;
+    gv.flat(gv.size() - 1) = std::numeric_limits<float>::denorm_min();
+    for (int threads : kThreadCounts) {
+      common::SetNumThreads(threads);
+      for (common::Isa isa : AvailableIsas()) {
+        common::SetIsa(isa);
+        ag::Variable a = ag::Variable::Parameter(av);
+        ag::Variable b = ag::Variable::Parameter(bv);
+        // d(sum(g ⊙ AB))/d(AB) = g exactly (1 * g).
+        ag::SumAll(ag::Mul(ag::MatMul(a, b), ag::Variable::Constant(gv)))
+            .Backward();
+        EXPECT_TRUE(BitsEqual(tensor::MatMul(gv, bv.Transpose()), a.grad()))
+            << common::IsaName(isa) << " threads=" << threads << " dA "
+            << s.m << "x" << s.k << "x" << s.n;
+        EXPECT_TRUE(BitsEqual(tensor::MatMul(av.Transpose(), gv), b.grad()))
+            << common::IsaName(isa) << " threads=" << threads << " dB "
+            << s.m << "x" << s.k << "x" << s.n;
+      }
     }
   }
 }

@@ -1,10 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "tensor/quantized.h"
 #include "tensor/tensor.h"
 
 namespace stgnn::tensor {
@@ -408,6 +412,86 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Shape{2, 3, 4}, Shape{3, 4}),
                       std::make_tuple(Shape{2, 1, 4}, Shape{1, 3, 1}),
                       std::make_tuple(Shape{1}, Shape{5})));
+
+// QuantizeInt8 as first written, one std::lrintf per weight: the oracle
+// for the libm-free quantiser. On x86-64 lrintf is cvtss2si, which turns
+// NaN and out-of-range values (infinities included) into LONG_MIN.
+QuantizedTensor LrintfQuantizeInt8(const Tensor& w) {
+  const int k = w.dim(0);
+  const int n = w.dim(1);
+  const int64_t k4 = (static_cast<int64_t>(k) + 3) / 4;
+  QuantizedTensor q;
+  q.rows = k;
+  q.cols = n;
+  float absmax = 0.0f;
+  for (int64_t i = 0; i < w.size(); ++i) {
+    absmax = std::max(absmax, std::fabs(w.flat(i)));
+  }
+  q.scale = absmax > 0.0f ? absmax / 127.0f : 1.0f;
+  const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
+  q.packed.assign(static_cast<size_t>(k4) * n * 4, 0);
+  q.col_sums.assign(static_cast<size_t>(n), 0);
+  for (int p = 0; p < k; ++p) {
+    for (int j = 0; j < n; ++j) {
+      const long r = std::lrintf(w.at(p, j) * inv);
+      const auto v = static_cast<int8_t>(std::max(-127L, std::min(127L, r)));
+      q.packed[static_cast<size_t>(((p / 4) * n + j) * 4 + p % 4)] = v;
+      q.col_sums[static_cast<size_t>(j)] += v;
+    }
+  }
+  return q;
+}
+
+void ExpectSameQuantization(const Tensor& w, const char* what) {
+  const QuantizedTensor want = LrintfQuantizeInt8(w);
+  const QuantizedTensor got = QuantizeInt8(w);
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.cols, want.cols) << what;
+  EXPECT_EQ(std::memcmp(&got.scale, &want.scale, sizeof(float)), 0) << what;
+  EXPECT_EQ(got.packed, want.packed) << what;
+  EXPECT_EQ(got.col_sums, want.col_sums) << what;
+}
+
+TEST(QuantizeTest, MatchesLrintfLoopBitwise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  common::Rng rng(31);
+  // Every k % 4, widths off any vector length.
+  for (const auto& [k, n] : std::vector<std::pair<int, int>>{
+           {4, 5}, {5, 8}, {6, 9}, {7, 64}, {13, 37}, {64, 257}}) {
+    Tensor w = Tensor::RandomNormal({k, n}, 0.0f, 1.0f, &rng);
+    w.flat(0) = -0.0f;
+    ExpectSameQuantization(w, "random");
+  }
+  // Rounding ties: absmax 127 makes the scale 1, absmax 254 makes it 1/2.
+  Tensor ties({5, 8}, {0.5f,   1.5f,   2.5f,  -0.5f,  -1.5f, -2.5f, 126.5f,
+                       -126.5f, 127.0f, -127.0f, 3.5f,  -3.5f, 4.5f, 0.0f,
+                       -0.0f,  63.5f, 64.5f, -63.5f, 1.0f,  2.0f, 100.5f,
+                       -100.5f, 7.5f,  8.5f,  9.5f,  10.5f, 11.5f, 12.5f,
+                       13.5f,  14.5f,  15.5f, 16.5f, 17.5f, 18.5f, 19.5f,
+                       20.5f,  21.5f,  22.5f, 23.5f, 24.5f});
+  ExpectSameQuantization(ties, "ties, scale 1");
+  ExpectSameQuantization(MulScalar(ties, 2.0f), "ties, scale 1/2");
+  // Infinities: absmax is inf, every weight times 0 (inf * 0 is NaN).
+  Tensor with_inf = Tensor::RandomNormal({6, 11}, 0.0f, 1.0f, &rng);
+  with_inf.at(1, 3) = inf;
+  ExpectSameQuantization(with_inf, "+inf");
+  with_inf.at(1, 3) = -inf;
+  with_inf.at(5, 10) = inf;
+  ExpectSameQuantization(with_inf, "+-inf");
+  // NaN weights are skipped by absmax and quantise as lrintf(NaN).
+  Tensor with_nan = Tensor::RandomNormal({9, 19}, 0.0f, 1.0f, &rng);
+  with_nan.at(0, 0) = nan;
+  with_nan.at(8, 18) = -nan;
+  ExpectSameQuantization(with_nan, "NaN");
+  // A denormal absmax overflows the inverse scale to inf.
+  Tensor tiny({3, 8});
+  tiny.at(0, 1) = 3 * denorm;
+  tiny.at(2, 7) = -denorm;
+  ExpectSameQuantization(tiny, "denormal absmax");
+  ExpectSameQuantization(Tensor({5, 3}), "zeros");
+}
 
 // Matmul distributivity as a randomized property.
 class MatMulSweep : public ::testing::TestWithParam<int> {};

@@ -34,7 +34,6 @@
 #include "common/counters.h"
 #include "common/cpuid.h"
 #include "common/check.h"
-#include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
@@ -140,20 +139,6 @@ core::StgnnConfig DriftConfig(const Options& options) {
   return config;
 }
 
-std::unique_ptr<core::StgnnDjdModel> CloneModel(const core::StgnnDjdModel& src,
-                                                int n,
-                                                const core::StgnnConfig& cfg) {
-  common::Rng rng(cfg.seed);
-  auto copy = std::make_unique<core::StgnnDjdModel>(n, cfg, &rng);
-  auto dst = copy->parameters();
-  const auto params = src.parameters();
-  STGNN_CHECK_EQ(dst.size(), params.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    dst[i].SetValue(params[i].value());
-  }
-  return copy;
-}
-
 // Denormalised RMSE of one model on one slot (what a serving response for
 // that slot would have predicted).
 double SlotRmse(const core::StgnnDjdModel& model,
@@ -221,14 +206,13 @@ RunResult RunOne(int n, const Options& options) {
   // shared, so its attention cache is race-free by construction).
   serve::ModelRegistry registry;
   {
-    serve::ModelSnapshot snapshot(
-        CloneModel(*predictor.model(), n, config), normalizer, input_scale,
-        config);
+    serve::ModelSnapshot snapshot(predictor.model()->Clone(), normalizer,
+                                  input_scale, config);
     serve::QuantizeSnapshot(&snapshot, config.infer_precision);
     registry.Publish(std::move(snapshot));
   }
   const std::unique_ptr<core::StgnnDjdModel> frozen =
-      CloneModel(*predictor.model(), n, config);
+      predictor.model()->Clone();
 
   // Ring warmed with everything up to the stream start.
   serve::FeatureRing ring(n, config.short_term_slots, config.long_term_days,
