@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -36,27 +37,24 @@ Tensor ElementwiseLocalGrad(const Tensor& x, const Tensor& y, Fn fn) {
 
 }  // namespace
 
-namespace {
-
-// Builds an op node from a forward value and parent variables. The caller
-// then installs backward_fn on the returned node if any parent needs grads.
-std::shared_ptr<Node> MakeNode(Tensor value,
-                               const std::vector<Variable>& parents) {
+std::shared_ptr<Node> MakeOpNode(Tensor value,
+                                 const std::vector<Variable>& parents) {
   auto node = std::make_shared<Node>();
   STGNN_COUNTER_INC("autograd.nodes");
   node->value = std::move(value);
+  node->op_output = true;
+  const bool tape = TapeEnabled();
   for (const auto& p : parents) {
     STGNN_CHECK(p.defined()) << "op input is an undefined Variable";
+    if (!tape) continue;
     node->parents.push_back(p.node());
     node->requires_grad = node->requires_grad || p.requires_grad();
   }
   return node;
 }
 
-}  // namespace
-
 Variable Add(const Variable& a, const Variable& b) {
-  auto node = MakeNode(tensor::Add(a.value(), b.value()), {a, b});
+  auto node = MakeOpNode(tensor::Add(a.value(), b.value()), {a, b});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -70,7 +68,7 @@ Variable Add(const Variable& a, const Variable& b) {
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
-  auto node = MakeNode(tensor::Sub(a.value(), b.value()), {a, b});
+  auto node = MakeOpNode(tensor::Sub(a.value(), b.value()), {a, b});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -84,7 +82,7 @@ Variable Sub(const Variable& a, const Variable& b) {
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
-  auto node = MakeNode(tensor::Mul(a.value(), b.value()), {a, b});
+  auto node = MakeOpNode(tensor::Mul(a.value(), b.value()), {a, b});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -102,7 +100,7 @@ Variable Mul(const Variable& a, const Variable& b) {
 }
 
 Variable Div(const Variable& a, const Variable& b) {
-  auto node = MakeNode(tensor::Div(a.value(), b.value()), {a, b});
+  auto node = MakeOpNode(tensor::Div(a.value(), b.value()), {a, b});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -127,7 +125,7 @@ namespace {
 // Unary op with a gradient of the form grad_out * local(input, output).
 template <typename LocalGradFn>
 Variable UnaryOp(const Variable& a, Tensor value, LocalGradFn local_grad) {
-  auto node = MakeNode(std::move(value), {a});
+  auto node = MakeOpNode(std::move(value), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -214,7 +212,7 @@ Variable Tanh(const Variable& a) {
 }
 
 Variable AddScalar(const Variable& a, float s) {
-  auto node = MakeNode(tensor::AddScalar(a.value(), s), {a});
+  auto node = MakeOpNode(tensor::AddScalar(a.value(), s), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -224,7 +222,7 @@ Variable AddScalar(const Variable& a, float s) {
 }
 
 Variable MulScalar(const Variable& a, float s) {
-  auto node = MakeNode(tensor::MulScalar(a.value(), s), {a});
+  auto node = MakeOpNode(tensor::MulScalar(a.value(), s), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -239,10 +237,11 @@ namespace {
 
 // True when `v` is an exclusively-owned interior temporary whose value
 // buffer can be stolen for an in-place op: only the argument itself holds
-// the node (so no other Variable can observe the mutation) and the node is
-// an op output, not a leaf the user might read later.
+// the node (so no other Variable or tape edge can observe the mutation) and
+// the node is an op output, not a leaf the user might read later. Holds
+// with or without a tape.
 bool StealableTemp(const Variable& v) {
-  return v.node().use_count() == 1 && v.node()->backward_fn != nullptr;
+  return v.node().use_count() == 1 && v.node()->op_output;
 }
 
 // Moves the value buffer out of `v`'s node (leaving it hollow — shape
@@ -264,7 +263,7 @@ Variable AddInPlace(Variable a, const Variable& b) {
   }
   Tensor value = StealValue(a);
   tensor::AddInPlace(&value, b.value());
-  auto node = MakeNode(std::move(value), {a, b});
+  auto node = MakeOpNode(std::move(value), {a, b});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -282,7 +281,7 @@ Variable ReluInPlace(Variable a) {
   if (!StealableTemp(a)) return Relu(a);
   Tensor value = StealValue(a);
   tensor::ReluInPlace(&value);
-  auto node = MakeNode(std::move(value), {a});
+  auto node = MakeOpNode(std::move(value), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -302,7 +301,7 @@ Variable EluInPlace(Variable a, float alpha) {
   if (!StealableTemp(a)) return Elu(a, alpha);
   Tensor value = StealValue(a);
   tensor::EluInPlace(&value, alpha);
-  auto node = MakeNode(std::move(value), {a});
+  auto node = MakeOpNode(std::move(value), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -322,14 +321,16 @@ Variable MatMul(const Variable& a, const Variable& b) {
   // Inference-only quantized weight path: when a QuantizedInferenceScope is
   // active on this thread and b is one of its registered weight snapshots,
   // the product runs through the reduced-precision kernels and detaches
-  // from autograd (a Constant). Training threads never enter a scope, so
+  // from autograd (an op output with no parents, so the in-place ops that
+  // follow may still steal it). Training threads never enter a scope, so
   // this branch is dead there and the fp32 graph is untouched.
   if (const QuantizedWeightSet* qw = ActiveQuantizedWeights()) {
     if (const tensor::QuantizedTensor* q = qw->Find(b.node().get())) {
-      return Variable::Constant(tensor::QuantizedMatMul(a.value(), *q));
+      return Variable::FromNode(
+          MakeOpNode(tensor::QuantizedMatMul(a.value(), *q), {}));
     }
   }
-  auto node = MakeNode(tensor::MatMul(a.value(), b.value()), {a, b});
+  auto node = MakeOpNode(tensor::MatMul(a.value(), b.value()), {a, b});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -429,7 +430,7 @@ Variable SparseMatMul(const Variable& a, const Variable& x,
   STGNN_CHECK_EQ(a.value().dim(1), pattern->cols());
   STGNN_TRACE_SCOPE("SparseMatMul");
   std::vector<float> vals = pattern->GatherValues(a.value());
-  auto node = MakeNode(tensor::SpMM(*pattern, vals, x.value()), {a, x});
+  auto node = MakeOpNode(tensor::SpMM(*pattern, vals, x.value()), {a, x});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -453,7 +454,7 @@ Variable SparseMatMul(std::shared_ptr<const tensor::Csr> a,
                       const Variable& x) {
   STGNN_CHECK(a != nullptr);
   STGNN_TRACE_SCOPE("SparseMatMul");
-  auto node = MakeNode(tensor::SpMM(*a, x.value()), {x});
+  auto node = MakeOpNode(tensor::SpMM(*a, x.value()), {x});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* px = x.node().get();
@@ -466,7 +467,7 @@ Variable SparseMatMul(std::shared_ptr<const tensor::Csr> a,
 }
 
 Variable Transpose(const Variable& a) {
-  auto node = MakeNode(a.value().Transpose(), {a});
+  auto node = MakeOpNode(a.value().Transpose(), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -478,7 +479,7 @@ Variable Transpose(const Variable& a) {
 }
 
 Variable Reshape(const Variable& a, Shape new_shape) {
-  auto node = MakeNode(a.value().Reshape(std::move(new_shape)), {a});
+  auto node = MakeOpNode(a.value().Reshape(std::move(new_shape)), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -489,12 +490,30 @@ Variable Reshape(const Variable& a, Shape new_shape) {
   return Variable::FromNode(node);
 }
 
+namespace {
+
+// Columns [offset, offset + width) of a 2-D tensor, one memcpy per row.
+Tensor ColumnSlice(const Tensor& t, int offset, int width) {
+  const int rows = t.dim(0);
+  const int cols = t.dim(1);
+  Tensor out = Tensor::Uninitialized({rows, width});
+  const float* src = t.data().data() + offset;
+  float* dst = out.mutable_data().data();
+  for (int i = 0; i < rows; ++i) {
+    std::memcpy(dst + static_cast<int64_t>(i) * width,
+                src + static_cast<int64_t>(i) * cols, sizeof(float) * width);
+  }
+  return out;
+}
+
+}  // namespace
+
 Variable Concat(const std::vector<Variable>& parts, int axis) {
   STGNN_CHECK(!parts.empty());
-  std::vector<Tensor> values;
+  std::vector<const Tensor*> values;
   values.reserve(parts.size());
-  for (const auto& p : parts) values.push_back(p.value());
-  auto node = MakeNode(tensor::Concat(values, axis), parts);
+  for (const auto& p : parts) values.push_back(&p.value());
+  auto node = MakeOpNode(tensor::Concat(values, axis), parts);
   if (node->requires_grad) {
     Node* self = node.get();
     std::vector<Node*> parents;
@@ -504,21 +523,11 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
       int offset = 0;
       for (Node* parent : parents) {
         const int extent = parent->value.dim(axis);
-        Tensor slice = axis == 0
-                           ? self->grad.SliceRows(offset, offset + extent)
-                           : [&] {
-                               // Column slice of a 2-D gradient.
-                               const int rows = self->grad.dim(0);
-                               Tensor out = Tensor::Uninitialized(
-                                   {rows, extent});
-                               for (int i = 0; i < rows; ++i) {
-                                 for (int j = 0; j < extent; ++j) {
-                                   out.at(i, j) = self->grad.at(i, offset + j);
-                                 }
-                               }
-                               return out;
-                             }();
-        if (parent->requires_grad) parent->AccumulateGrad(std::move(slice));
+        if (parent->requires_grad) {
+          parent->AccumulateGrad(
+              axis == 0 ? self->grad.SliceRows(offset, offset + extent)
+                        : ColumnSlice(self->grad, offset, extent));
+        }
         offset += extent;
       }
     };
@@ -527,7 +536,7 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
 }
 
 Variable SliceRows(const Variable& a, int begin, int end) {
-  auto node = MakeNode(a.value().SliceRows(begin, end), {a});
+  auto node = MakeOpNode(a.value().SliceRows(begin, end), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -546,7 +555,7 @@ Variable SliceRows(const Variable& a, int begin, int end) {
 }
 
 Variable SumAll(const Variable& a) {
-  auto node = MakeNode(tensor::SumAll(a.value()), {a});
+  auto node = MakeOpNode(tensor::SumAll(a.value()), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -564,8 +573,8 @@ Variable MeanAll(const Variable& a) {
 }
 
 Variable SumAxisKeepdims(const Variable& a, int axis) {
-  auto node = MakeNode(tensor::SumAxis(a.value(), axis, /*keepdims=*/true),
-                       {a});
+  auto node = MakeOpNode(tensor::SumAxis(a.value(), axis, /*keepdims=*/true),
+                         {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
@@ -579,7 +588,7 @@ Variable SumAxisKeepdims(const Variable& a, int axis) {
 }
 
 Variable RowSoftmax(const Variable& a) {
-  auto node = MakeNode(tensor::RowSoftmax(a.value()), {a});
+  auto node = MakeOpNode(tensor::RowSoftmax(a.value()), {a});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();

@@ -13,6 +13,13 @@ namespace stgnn::autograd {
 // Differentiable operations over Variables. Each op builds a graph node whose
 // backward closure pushes gradients to its inputs. Shapes follow the tensor
 // library's broadcasting rules; gradients are reduced back to input shapes.
+// Under a NoTapeScope an op's node keeps only its value (see variable.h).
+
+// The node of an op's result: marked as an op output and, while the tape is
+// on, linked to `parents` with requires_grad taken from them. The op then
+// installs backward_fn iff requires_grad. For ops defined outside this file.
+std::shared_ptr<Node> MakeOpNode(tensor::Tensor value,
+                                 const std::vector<Variable>& parents);
 
 // --- Elementwise binary (broadcasting) ---
 Variable Add(const Variable& a, const Variable& b);
@@ -38,13 +45,15 @@ Variable MulScalar(const Variable& a, float s);
 // --- In-place variants ---
 // These steal the input's value buffer and mutate it instead of allocating
 // an output, producing bit-identical results to their allocating forms.
-// Contract: `a` must be an exclusively-owned temporary — a Variable whose
-// node is held only by the argument itself (pass with std::move) — and its
-// backward closure must not read its own forward value. MatMul, SpMM, Add
-// and Sub outputs qualify; activation outputs (whose backwards read y) do
-// not. When the exclusivity check fails, or `b` does not broadcast to `a`'s
-// shape, the op silently falls back to the allocating form, so correctness
-// never depends on the contract — only the allocation count does.
+// Contract: `a` must be an exclusively-owned op output — a Variable whose
+// node is held only by the argument itself (pass with std::move); leaves
+// are never stolen — and its backward closure must not read its own
+// forward value. MatMul, SpMM, Add and Sub outputs qualify; activation
+// outputs (whose backwards read y) do not. When the exclusivity check
+// fails, or `b` does not broadcast to `a`'s shape, the op silently falls
+// back to the allocating form, so correctness never depends on the
+// contract — only the allocation count does. Without a tape (NoTapeScope)
+// no closure reads anything, so any exclusively-owned op output qualifies.
 // The in-place activations compute their local gradients from the output
 // alone (for relu, y > 0 iff x > 0; for elu, y > 0 iff x > 0 and the
 // x <= 0 branch equals y + alpha), which is bit-identical to the

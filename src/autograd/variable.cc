@@ -13,6 +13,20 @@ using tensor::Tensor;
 
 namespace {
 
+thread_local bool tape_disabled = false;
+
+}  // namespace
+
+NoTapeScope::NoTapeScope(bool enabled) : previous_(tape_disabled) {
+  if (enabled) tape_disabled = true;
+}
+
+NoTapeScope::~NoTapeScope() { tape_disabled = previous_; }
+
+bool TapeEnabled() { return !tape_disabled; }
+
+namespace {
+
 // ReduceGradToShape for a [rows, cols] grad and an aligned [out_rows,
 // out_cols] target, without the multi-index walk: each output element is
 // the same chain of float adds from +0, in the same row-major order, as the

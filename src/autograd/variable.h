@@ -17,6 +17,9 @@ struct Node {
   tensor::Tensor grad;  // valid iff grad_initialized
   bool grad_initialized = false;
   bool requires_grad = false;
+  // True for an op's result, false for a leaf (parameter or constant). Only
+  // op outputs may have their value stolen by the in-place ops.
+  bool op_output = false;
   std::vector<std::shared_ptr<Node>> parents;
   // Reads this->grad and accumulates into each parent's grad.
   std::function<void()> backward_fn;
@@ -80,6 +83,28 @@ class Variable {
  private:
   std::shared_ptr<Node> node_;
 };
+
+// While a NoTapeScope is alive on a thread, ops run on that thread record
+// no autograd tape: each result keeps only its value (no parent edges, no
+// backward closure, requires_grad false), so an intermediate goes back to
+// the buffer pool at its last use instead of when the forward's result
+// dies. Values are bit-identical to a taped run; Backward() on a tapeless
+// result CHECK-fails. Inference entry points open one; scopes nest, and
+// `enabled = false` makes a scope a no-op.
+class NoTapeScope {
+ public:
+  explicit NoTapeScope(bool enabled = true);
+  ~NoTapeScope();
+
+  NoTapeScope(const NoTapeScope&) = delete;
+  NoTapeScope& operator=(const NoTapeScope&) = delete;
+
+ private:
+  bool previous_;
+};
+
+// False while a NoTapeScope is active on the calling thread.
+bool TapeEnabled();
 
 // Reduces a broadcast gradient back to `target_shape` by summing over the
 // broadcast axes. Exposed for op implementations and tests.

@@ -26,10 +26,7 @@ namespace {
 // output rows (= argmax rows); the gradient tensor takes h's shape.
 Variable MakeNeighborMaxNode(const Variable& h, Tensor out,
                              std::vector<int> argmax, int rows, int f) {
-  auto node = std::make_shared<Node>();
-  node->value = std::move(out);
-  node->parents.push_back(h.node());
-  node->requires_grad = h.requires_grad();
+  auto node = ag::MakeOpNode(std::move(out), {h});
   if (node->requires_grad) {
     Node* self = node.get();
     Node* parent = h.node().get();
@@ -293,13 +290,11 @@ Variable AttentionGnnLayer::DestScoreWeights(int head) const {
   return ag::MatMul(w8_[head], a_dst_[head]);
 }
 
-Variable AttentionGnnLayer::Forward(const Variable& features) const {
+std::vector<Variable> AttentionGnnLayer::Attention(
+    const Variable& features) const {
   STGNN_CHECK_EQ(features.value().dim(1), feature_dim_);
-  STGNN_TRACE_SCOPE("AttentionGnn.Forward");
-  STGNN_COUNTER_INC("op.attention_gnn_layer");
-  last_attention_.clear();
-  std::vector<Variable> head_outputs;
-  head_outputs.reserve(num_heads_);
+  std::vector<Variable> heads;
+  heads.reserve(num_heads_);
   for (int u = 0; u < num_heads_; ++u) {
     // Eq. (15): e(i,j) = ELU([F_i W8 || F_j W8] W9). Splitting W9 into the
     // source/destination halves turns the pairwise concat into an outer sum:
@@ -309,10 +304,23 @@ Variable AttentionGnnLayer::Forward(const Variable& features) const {
     Variable src = ag::MatMul(features, SourceScoreWeights(u));  // [n, 1]
     Variable dst =
         ag::Transpose(ag::MatMul(features, DestScoreWeights(u)));  // [1, n]
-    Variable e = ag::EluInPlace(ag::Add(src, dst));              // [n, n]
     // Eq. (16): dense softmax over all stations — no locality prior.
-    Variable alpha = ag::RowSoftmax(e);
-    last_attention_.push_back(alpha.value());
+    heads.push_back(
+        ag::RowSoftmax(ag::EluInPlace(ag::Add(src, dst))));  // [n, n]
+  }
+  return heads;
+}
+
+Variable AttentionGnnLayer::Forward(const Variable& features) const {
+  STGNN_TRACE_SCOPE("AttentionGnn.Forward");
+  STGNN_COUNTER_INC("op.attention_gnn_layer");
+  std::vector<Variable> attention = Attention(features);
+  std::vector<Variable> head_outputs;
+  head_outputs.reserve(num_heads_);
+  for (int u = 0; u < num_heads_; ++u) {
+    // Moved out so that, without a tape, each softmax is freed once its
+    // head has aggregated.
+    const Variable alpha = std::move(attention[u]);
     // Eq. (17): head output sigma2(alpha · (F phi_u)). The paper writes
     // phi F with phi in R^{n x n}; with feature dim n both orders type-check
     // and we apply phi on the feature side, the standard value transform.

@@ -98,11 +98,12 @@ class AttentionGnnLayer : public nn::Module {
 
   autograd::Variable Forward(const autograd::Variable& features) const;
 
-  // Per-head attention matrices from the most recent Forward (values only);
-  // used by the case-study experiments (Figs. 11-12).
-  const std::vector<tensor::Tensor>& last_attention() const {
-    return last_attention_;
-  }
+  // Eq. (15)-(16) over `features`: each head's [n, n] attention softmax, in
+  // head order. Forward aggregates with exactly these; the case-study
+  // experiments (Figs. 11-12) read their values. Writes nothing, so
+  // forwards on a shared model may run concurrently.
+  std::vector<autograd::Variable> Attention(
+      const autograd::Variable& features) const;
 
   int num_heads() const { return num_heads_; }
   int feature_dim() const { return feature_dim_; }
@@ -133,7 +134,6 @@ class AttentionGnnLayer : public nn::Module {
   std::vector<autograd::Variable> a_dst_;  // per head, [f, 1] (W9 bottom)
   std::vector<autograd::Variable> phi_;    // per head, [f, f]
   autograd::Variable w10_;                 // [m*f, f]
-  mutable std::vector<tensor::Tensor> last_attention_;
 };
 
 }  // namespace stgnn::core

@@ -1,5 +1,6 @@
 #include "core/graph_generator.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,13 +20,35 @@ FcgPattern BuildFcgPattern(const Tensor& temporal_inflow,
   STGNN_CHECK_EQ(temporal_inflow.dim(1), n);
 
   FcgPattern pattern;
-  // Edge j -> i iff Î(i, j) > 0 or Ô(j, i) > 0; self-loops always on.
-  Tensor mask({n, n});
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const bool edge = i == j || temporal_inflow.at(i, j) > 0.0f ||
-                        temporal_outflow.at(j, i) > 0.0f;
-      mask.at(i, j) = edge ? 1.0f : 0.0f;
+  // Edge j -> i iff Î(i, j) > 0 or Ô(j, i) > 0; self-loops always on. Ô is
+  // read transposed, so the mask is filled in square tiles: each tile of Ô
+  // is copied transposed into `block` (reading Ô along its rows), and the
+  // mask rows then read Î, `block` and the diagonal test side by side.
+  constexpr int kTile = 32;
+  Tensor mask = Tensor::Uninitialized({n, n});
+  const float* in = temporal_inflow.data().data();
+  const float* out = temporal_outflow.data().data();
+  float* m = mask.mutable_data().data();
+  float block[kTile][kTile];  // block[a][b] = Ô(j0 + b, i0 + a)
+  for (int i0 = 0; i0 < n; i0 += kTile) {
+    const int rows = std::min(kTile, n - i0);
+    for (int j0 = 0; j0 < n; j0 += kTile) {
+      const int cols = std::min(kTile, n - j0);
+      for (int b = 0; b < cols; ++b) {
+        const float* out_row = out + static_cast<int64_t>(j0 + b) * n + i0;
+        for (int a = 0; a < rows; ++a) block[a][b] = out_row[a];
+      }
+      for (int a = 0; a < rows; ++a) {
+        const int i = i0 + a;
+        const float* in_row = in + static_cast<int64_t>(i) * n + j0;
+        float* m_row = m + static_cast<int64_t>(i) * n + j0;
+        for (int b = 0; b < cols; ++b) {
+          // Non-short-circuit ors: random signs would mispredict branches.
+          const bool edge =
+              (in_row[b] > 0.0f) | (block[a][b] > 0.0f) | (i == j0 + b);
+          m_row[b] = edge ? 1.0f : 0.0f;
+        }
+      }
     }
   }
   pattern.edge_csr =

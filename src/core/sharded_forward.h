@@ -130,7 +130,7 @@ struct PcgLayerHalo {
 // The same assembled halo wrapped as constant graph leaves, built once per
 // (slot, snapshot) context so every per-batch replay shares the [n, f]
 // constants instead of deep-copying them into fresh leaves each batch.
-// Sharing is safe: constant leaves have no backward_fn, so the in-place
+// Sharing is safe: constant leaves are not op outputs, so the in-place
 // autograd ops never steal their buffers.
 struct PcgLayerHaloVars {
   std::vector<autograd::Variable> d_full;  // per head, [1, n]

@@ -127,11 +127,6 @@ Variable PcgBranch::Forward(const Variable& features) const {
   return h;
 }
 
-std::vector<Tensor> PcgBranch::FirstLayerAttention() const {
-  if (attention_layers_.empty()) return {};
-  return attention_layers_.front()->last_attention();
-}
-
 StgnnDjdModel::StgnnDjdModel(int num_stations, const StgnnConfig& config,
                              common::Rng* rng)
     : num_stations_(num_stations), config_(config) {
@@ -235,6 +230,7 @@ Variable StgnnDjdModel::Forward(const data::StHistory& history, bool training,
                                 common::Rng* dropout_rng) const {
   STGNN_TRACE_SCOPE("StgnnDjd.Forward");
   STGNN_COUNTER_INC("model.forwards");
+  const ag::NoTapeScope no_tape(/*enabled=*/!training);
   const FlowStage flow = RunFlowStage(history);
   const Variable features =
       ag::Dropout(flow.node_features, config_.dropout, training, dropout_rng);
@@ -252,6 +248,7 @@ StgnnDjdModel::Embeddings StgnnDjdModel::ComputeEmbeddings(
     const data::StHistory& history) const {
   STGNN_TRACE_SCOPE("StgnnDjd.ComputeEmbeddings");
   STGNN_COUNTER_INC("model.embedding_stages");
+  const ag::NoTapeScope no_tape;
   const FlowStage flow = RunFlowStage(history);
   Embeddings embeddings;
   embeddings.node_features = flow.node_features.value();
@@ -265,6 +262,7 @@ FlowConvolutedGraph StgnnDjdModel::BuildGraph(
   STGNN_TRACE_SCOPE("StgnnDjd.BuildGraph");
   STGNN_CHECK(config_.ablation.use_fcg)
       << "BuildGraph on a No-FCG model";
+  const ag::NoTapeScope no_tape;
   return BuildFlowConvolutedGraph(
       Variable::Constant(embeddings.node_features),
       Variable::Constant(embeddings.temporal_inflow),
@@ -280,13 +278,9 @@ Tensor StgnnDjdModel::ForwardFromStages(
   // Inference only: dropout is the identity when not training, so the head
   // sees exactly the cached stage-2 values — the staged replay is
   // bit-identical to Forward(history, false, nullptr).
+  const ag::NoTapeScope no_tape;
   const Variable features = Variable::Constant(embeddings.node_features);
   return RunHead(features, graph, /*training=*/false, nullptr).value();
-}
-
-std::vector<Tensor> StgnnDjdModel::LastPcgAttention() const {
-  if (!pcg_branch_) return {};
-  return pcg_branch_->FirstLayerAttention();
 }
 
 std::shared_ptr<const autograd::QuantizedWeightSet>
@@ -482,9 +476,18 @@ Tensor StgnnDjdPredictor::Predict(const data::FlowDataset& flow, int t) {
 std::vector<Tensor> StgnnDjdPredictor::PcgAttentionAt(
     const data::FlowDataset& flow, int t) {
   STGNN_CHECK(model_ != nullptr) << "PcgAttentionAt before Train";
-  const data::StHistory history = HistoryAt(flow, t);
-  (void)model_->Forward(history, /*training=*/false, nullptr);
-  return model_->LastPcgAttention();
+  const PcgBranch* pcg = model_->pcg_branch();
+  if (pcg == nullptr || pcg->num_attention_layers() == 0) return {};
+  const ag::NoTapeScope no_tape;
+  // The first PCG layer's input is the flow stage's node features
+  // (inference dropout is the identity).
+  const Variable features = Variable::Constant(
+      model_->ComputeEmbeddings(HistoryAt(flow, t)).node_features);
+  std::vector<Tensor> heads;
+  for (const Variable& alpha : pcg->attention_layer(0).Attention(features)) {
+    heads.push_back(alpha.value());
+  }
+  return heads;
 }
 
 }  // namespace stgnn::core

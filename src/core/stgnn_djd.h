@@ -54,10 +54,6 @@ class PcgBranch : public nn::Module {
 
   autograd::Variable Forward(const autograd::Variable& features) const;
 
-  // Per-head attention of the *first* attention layer from the most recent
-  // Forward; empty for non-attention aggregators. Used by the case study.
-  std::vector<tensor::Tensor> FirstLayerAttention() const;
-
   Aggregator aggregator() const { return aggregator_; }
   int num_attention_layers() const {
     return static_cast<int>(attention_layers_.size());
@@ -102,8 +98,16 @@ class StgnnDjdModel : public nn::Module {
 
   // Returns the [n, 2] normalised demand/supply prediction for the slot
   // whose history is given. `dropout_rng` is only used when training.
+  // With training=false the forward runs without an autograd tape
+  // (autograd::NoTapeScope): the result carries only its value and cannot
+  // be differentiated. Differentiate a dropout-free forward by passing
+  // training=true with config().dropout == 0, which is the same arithmetic.
   autograd::Variable Forward(const data::StHistory& history, bool training,
                              common::Rng* dropout_rng) const;
+
+  // Stages 2-4 below are inference only and run without a tape too. None
+  // of the forwards writes to the model, so any number may run at once on
+  // one shared const model.
 
   // Stage 2 output captured as plain value tensors — the representation a
   // serving cache stores (no autograd graph retained).
@@ -144,10 +148,6 @@ class StgnnDjdModel : public nn::Module {
   // update.
   std::shared_ptr<const autograd::QuantizedWeightSet> QuantizeWeights(
       tensor::Precision precision) const;
-
-  // Attention matrices (per head) of the first PCG attention layer from the
-  // most recent Forward call.
-  std::vector<tensor::Tensor> LastPcgAttention() const;
 
   int num_stations() const { return num_stations_; }
   const StgnnConfig& config() const { return config_; }
@@ -204,7 +204,9 @@ class StgnnDjdPredictor : public eval::Predictor {
   // First slot this model can predict for the given dataset.
   int MinHistorySlots(const data::FlowDataset& flow) const;
 
-  // Case-study hook: per-head attention of the first PCG layer at slot t.
+  // Case-study hook: per-head attention of the first PCG layer at slot t
+  // (the softmaxes an inference forward aggregates with); empty when the
+  // PCG branch is absent or not attention-aggregated.
   std::vector<tensor::Tensor> PcgAttentionAt(const data::FlowDataset& flow,
                                              int t);
 

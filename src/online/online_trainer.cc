@@ -102,7 +102,7 @@ Status OnlineTrainer::WarmStart() {
                     horizon_ + options_.replay_slack;
   common::BufferPool::Global()->SetEnabled(config_.buffer_pool);
   shadow_ = live->model->Clone();
-  baseline_ = live->model->Clone();
+  baseline_ = live->model;
   baseline_version_ = live->version;
   baseline_holdout_.clear();
   adam_ = std::make_unique<nn::Adam>(shadow_->parameters(),
@@ -292,11 +292,9 @@ HoldoutMetrics OnlineTrainer::Score(const HoldoutPredictions& predictions,
   return metrics;
 }
 
-uint64_t OnlineTrainer::PublishCandidate() {
+uint64_t OnlineTrainer::PublishCandidate(
+    std::shared_ptr<const core::StgnnDjdModel> model) {
   STGNN_TRACE_SCOPE("Online.Publish");
-  // The shadow keeps training after the swap, so the published snapshot
-  // gets its own immutable weight copy.
-  std::shared_ptr<const core::StgnnDjdModel> model(shadow_->Clone());
   serve::ModelSnapshot snapshot(std::move(model), *normalizer_, input_scale_,
                                 config_);
   if (config_.infer_precision != tensor::Precision::kFp32) {
@@ -337,11 +335,11 @@ Result<PollResult> OnlineTrainer::PollLocked() {
   }
 
   // An external publish (a manual swap, another trainer) moves the live
-  // version; resync the private baseline so the gate compares against what
-  // is actually serving.
+  // version; resync the baseline so the gate compares against what is
+  // actually serving.
   if (auto live = channel_.live();
       live != nullptr && live->version != baseline_version_) {
-    baseline_ = live->model->Clone();
+    baseline_ = live->model;
     baseline_version_ = live->version;
     baseline_holdout_.clear();
   }
@@ -398,8 +396,10 @@ Result<PollResult> OnlineTrainer::PollLocked() {
       last_swap_slot_ < 0 ||
       t_max - last_swap_slot_ >= options_.min_slots_between_swaps;
   if (win_streak_ >= options_.patience && cooled) {
-    const uint64_t version = PublishCandidate();
+    // The shadow keeps training after the swap, so the published snapshot
+    // gets its own immutable weight copy, which is also the new baseline.
     baseline_ = shadow_->Clone();
+    const uint64_t version = PublishCandidate(baseline_);
     baseline_version_ = version;
     // The new baseline has the shadow's weights: its holdout predictions
     // are the candidate's.
@@ -448,7 +448,11 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
         "ImportState needs a warm-started trainer (models exist)");
   }
   auto shadow_params = shadow_->parameters();
-  auto baseline_params = baseline_->parameters();
+  // The baseline may be the registry's live model, which is never written:
+  // imported baseline weights go into a model of their own.
+  auto baseline = std::make_unique<core::StgnnDjdModel>(
+      shadow_->num_stations(), shadow_->config(), /*rng=*/nullptr);
+  auto baseline_params = baseline->parameters();
   if (state.shadow_params.size() != shadow_params.size() ||
       state.baseline_params.size() != baseline_params.size()) {
     return Status::InvalidArgument("TrainerState parameter count mismatch");
@@ -466,6 +470,7 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
     shadow_params[i].SetValue(state.shadow_params[i]);
     baseline_params[i].SetValue(state.baseline_params[i]);
   }
+  baseline_ = std::move(baseline);
   total_steps_ = state.total_steps;
   baseline_version_ = state.baseline_version;
   baseline_holdout_.clear();
@@ -489,6 +494,11 @@ OnlineTrainerStats OnlineTrainer::stats() const {
   OnlineTrainerStats stats = stats_;
   stats.fetched_through = fetched_through_;
   return stats;
+}
+
+std::shared_ptr<const core::StgnnDjdModel> OnlineTrainer::baseline() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return baseline_;
 }
 
 bool OnlineTrainer::warm_started() const {

@@ -82,7 +82,7 @@ struct PollResult {
   int steps = 0;           // optimizer steps taken
   bool evaluated = false;
   HoldoutMetrics candidate;  // shadow model on the holdout
-  HoldoutMetrics live;       // trainer's copy of the published weights
+  HoldoutMetrics live;       // the baseline (published weights)
   bool published = false;
   uint64_t published_version = 0;
 };
@@ -137,21 +137,22 @@ struct TrainerState {
 // Each Poll round: copy out newly ingested slots, take steps_per_round
 // full-batch fused-Adam steps over the train window (the zero-alloc pooled
 // train step — release-graph backward, grad clip, fused Adam), then
-// evaluate the shadow against the trainer's private copy of the published
-// weights on the newest holdout_slots slots. A candidate that beats the
-// live RMSE by improvement_margin (without degrading MAE) on `patience`
-// consecutive evaluations is cloned into an immutable snapshot, quantized
-// to the serving precision when the config asks for it, and published
+// evaluate the shadow against the baseline (the published weights) on the
+// newest holdout_slots slots. A candidate that beats the live RMSE by
+// improvement_margin (without degrading MAE) on `patience` consecutive
+// evaluations is cloned into an immutable snapshot, quantized to the
+// serving precision when the config asks for it, and published
 // through the channel — exactly what a manual swap does, so slot caches
 // invalidate and quantized tiers rebuild for free. A losing candidate
 // provably never reaches the registry (online.rejected_candidates counts
 // them; tests/online_test.cc pins the property).
 //
-// The live model object itself is never forwarded by the trainer — serving
-// forwards mutate the model's attention cache, so the trainer evaluates
-// against its own clone of the published weights (resynced whenever an
-// external publish changes the live version). The baseline's holdout
-// predictions are kept by slot and reused while its weights stand: a round
+// The baseline is the live snapshot's own model, shared with the registry
+// and resynced whenever an external publish changes the live version: an
+// inference forward writes nothing to the model, so the trainer forwards it
+// beside the serving threads. Only ImportState gives the baseline a model
+// of its own, for the imported weights. The baseline's holdout predictions
+// are kept by slot and reused while its weights stand: a round
 // forwards the baseline only on the slot(s) new to the holdout window, a
 // publish hands the candidate's predictions over with its weights, and
 // WarmStart, ImportState and an external-publish resync drop them.
@@ -171,8 +172,8 @@ class OnlineTrainer {
   OnlineTrainer(const OnlineTrainer&) = delete;
   OnlineTrainer& operator=(const OnlineTrainer&) = delete;
 
-  // Clones the live snapshot into the shadow and baseline models and
-  // builds a fresh fused-Adam over the shadow. Typed errors:
+  // Clones the live snapshot into the shadow, takes the live model as the
+  // baseline, and builds a fresh fused-Adam over the shadow. Typed errors:
   //  - FailedPrecondition: nothing published yet;
   //  - InvalidArgument: the snapshot's window config disagrees with the
   //    ring's (the assembled histories would not match serving's).
@@ -195,6 +196,10 @@ class OnlineTrainer {
 
   OnlineTrainerStats stats() const;
   bool warm_started() const;
+  // The model the gate scores candidates against: after WarmStart, a
+  // publish or a resync, the live snapshot's model itself. Null before
+  // WarmStart.
+  std::shared_ptr<const core::StgnnDjdModel> baseline() const;
   const OnlineTrainerOptions& options() const { return options_; }
 
  private:
@@ -223,8 +228,9 @@ class OnlineTrainer {
   // normalised targets, accumulated in slot order.
   HoldoutMetrics Score(const HoldoutPredictions& predictions, int first,
                        int last) const;
-  // Publishes an immutable clone of the shadow; returns the version.
-  uint64_t PublishCandidate();
+  // Publishes `model` (an immutable clone of the shadow); returns the
+  // version.
+  uint64_t PublishCandidate(std::shared_ptr<const core::StgnnDjdModel> model);
   const StoredSlot& StoreAt(int slot) const;
 
   serve::FeatureRing* const ring_;
@@ -241,7 +247,7 @@ class OnlineTrainer {
   float input_scale_ = 1.0f;
   int horizon_ = 1;
   std::unique_ptr<core::StgnnDjdModel> shadow_;
-  std::unique_ptr<core::StgnnDjdModel> baseline_;
+  std::shared_ptr<const core::StgnnDjdModel> baseline_;
   uint64_t baseline_version_ = 0;
   HoldoutPredictions baseline_holdout_;  // baseline_'s, by slot
   std::unique_ptr<nn::Adam> adam_;

@@ -90,9 +90,9 @@ class LocalEngine : public InferenceEngine {
   // Memoised serving prefixes, invalidated via RingListener.
   SlotCache cache_;
   // Serialises model execution: the tensor kernels inside one Forward
-  // already use every pool thread, and the attention layers cache their
-  // last attention matrices, so concurrent Forwards on a shared snapshot
-  // would race for no throughput gain.
+  // already use every pool thread, so concurrent Forwards on a shared
+  // snapshot (safe: a forward writes nothing to the model) would compete
+  // for the same cores for no throughput gain.
   std::mutex exec_mu_;
 };
 

@@ -156,6 +156,7 @@ Result<core::ShardConvRows> ShardEngine::ConvRows(int slot, uint64_t version) {
   build->ctx.model_version = version;
   build->ctx.snapshot = *snapshot;
 
+  const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
   core::ShardConvRows rows = core::ComputeShardConvRows(
@@ -177,6 +178,7 @@ Result<core::ShardFusedRows> ShardEngine::FuseRows(
   Result<Building*> build = FindBuild(slot, version);
   if (!build.ok()) return build.status();
 
+  const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
   return core::ComputeShardFusedRows(
@@ -198,6 +200,7 @@ Result<core::PcgHeadExports> ShardEngine::BuildLocal(
   if (!found.ok()) return found.status();
   Building* build = *found;
 
+  const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
 
@@ -256,6 +259,7 @@ Result<core::PcgHeadExports> ShardEngine::PcgLayer(
         std::to_string(layer));
   }
 
+  const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
   build->ctx.pcg_halo.push_back(core::WrapHaloVars(halo));
@@ -293,6 +297,7 @@ Result<EngineOutput> ShardEngine::Execute(int slot) {
   // registry may already have moved on; the router rejects mixed-version
   // merges and retries, so serving the pinned version is safe and torn-free).
   const core::StgnnDjdModel& model = *ctx->snapshot->model;
+  const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(ctx->snapshot->quantized.get());
   if (ctx->snapshot->quantized != nullptr) {
     STGNN_COUNTER_INC("serve.quantized_batches");

@@ -70,6 +70,10 @@ struct ShardSlotContext {
 // aggregator; builds against other configs refuse with a typed
 // FailedPrecondition.
 //
+// Every build round and every per-batch replay runs without an autograd
+// tape (autograd::NoTapeScope): a round's intermediates are freed as it
+// goes, and a context holds values only.
+//
 // Versioning: every build round and every Execute checks the registry's
 // live version; a round for a superseded version fails with "stale shard
 // version", an Execute with no context for the live (slot, version) fails

@@ -932,39 +932,46 @@ Tensor RowSoftmax(const Tensor& a) {
 }
 
 Tensor Concat(const std::vector<Tensor>& parts, int axis) {
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(parts.size());
+  for (const auto& p : parts) ptrs.push_back(&p);
+  return Concat(ptrs, axis);
+}
+
+Tensor Concat(const std::vector<const Tensor*>& parts, int axis) {
   STGNN_CHECK(!parts.empty());
   STGNN_CHECK(axis == 0 || axis == 1);
-  for (const auto& p : parts) STGNN_CHECK_EQ(p.ndim(), 2);
+  for (const Tensor* p : parts) STGNN_CHECK_EQ(p->ndim(), 2);
   if (axis == 0) {
-    const int cols = parts[0].dim(1);
+    const int cols = parts[0]->dim(1);
     int rows = 0;
-    for (const auto& p : parts) {
-      STGNN_CHECK_EQ(p.dim(1), cols);
-      rows += p.dim(0);
+    for (const Tensor* p : parts) {
+      STGNN_CHECK_EQ(p->dim(1), cols);
+      rows += p->dim(0);
     }
     Tensor out = Tensor::Uninitialized({rows, cols});
     auto& dout = out.mutable_data();
     size_t offset = 0;
-    for (const auto& p : parts) {
-      std::copy(p.data().begin(), p.data().end(), dout.begin() + offset);
-      offset += p.data().size();
+    for (const Tensor* p : parts) {
+      std::copy(p->data().begin(), p->data().end(), dout.begin() + offset);
+      offset += p->data().size();
     }
     return out;
   }
-  const int rows = parts[0].dim(0);
+  const int rows = parts[0]->dim(0);
   int cols = 0;
-  for (const auto& p : parts) {
-    STGNN_CHECK_EQ(p.dim(0), rows);
-    cols += p.dim(1);
+  for (const Tensor* p : parts) {
+    STGNN_CHECK_EQ(p->dim(0), rows);
+    cols += p->dim(1);
   }
   Tensor out = Tensor::Uninitialized({rows, cols});
   float* dout = out.mutable_data().data();
   common::ParallelFor(0, rows, RowGrain(cols), [&](int64_t ib, int64_t ie) {
     for (int64_t i = ib; i < ie; ++i) {
       float* orow = dout + i * cols;
-      for (const auto& p : parts) {
-        const int w = p.dim(1);
-        std::memcpy(orow, p.data().data() + i * w, sizeof(float) * w);
+      for (const Tensor* p : parts) {
+        const int w = p->dim(1);
+        std::memcpy(orow, p->data().data() + i * w, sizeof(float) * w);
         orow += w;
       }
     }

@@ -198,6 +198,8 @@ Tensor RowSoftmax(const Tensor& a);
 
 // Concatenates 2-D tensors along the given axis (0 = rows, 1 = cols).
 Tensor Concat(const std::vector<Tensor>& parts, int axis);
+// The same, reading the parts in place (no part is copied first).
+Tensor Concat(const std::vector<const Tensor*>& parts, int axis);
 
 // Stacks equal-shape tensors into a new leading axis.
 Tensor Stack(const std::vector<Tensor>& parts);

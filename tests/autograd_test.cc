@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/inference_precision.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "gradcheck.h"
@@ -69,6 +70,82 @@ TEST(VariableTest, DeepChainNoStackOverflow) {
   for (int i = 0; i < 5000; ++i) y = ag::AddScalar(y, 0.0f);
   y.Backward();
   EXPECT_NEAR(x.grad().item(), 1.0f, 1e-5);
+}
+
+// --- Inference without a tape ---
+
+// Under a NoTapeScope an op's result keeps its value and nothing else: no
+// parent edges, no backward closure, requires_grad false, even when an
+// input is a parameter. The value is bit for bit the taped one, and the
+// scope nests and restores.
+TEST(NoTapeTest, OpsKeepOnlyTheirValues) {
+  const Variable w = Variable::Parameter(RandomTensor({5, 4}, 1));
+  const Variable x = Variable::Constant(RandomTensor({3, 5}, 2));
+  auto chain = [&] {
+    return ag::RowSoftmax(ag::EluInPlace(ag::AddInPlace(ag::MatMul(x, w),
+                                                        ag::SumAll(w))));
+  };
+  const Variable taped = chain();
+  ASSERT_TRUE(TapeEnabled());
+  ASSERT_TRUE(taped.requires_grad());
+  ASSERT_FALSE(taped.node()->parents.empty());
+  {
+    const NoTapeScope outer;
+    EXPECT_FALSE(TapeEnabled());
+    {
+      const NoTapeScope inner;
+      const NoTapeScope disabled(/*enabled=*/false);
+      EXPECT_FALSE(TapeEnabled());
+    }
+    EXPECT_FALSE(TapeEnabled());
+    const Variable untaped = chain();
+    EXPECT_FALSE(untaped.requires_grad());
+    EXPECT_TRUE(untaped.node()->parents.empty());
+    EXPECT_EQ(untaped.node()->backward_fn, nullptr);
+    EXPECT_TRUE(untaped.node()->op_output);
+    EXPECT_EQ(std::memcmp(untaped.value().data().data(),
+                          taped.value().data().data(),
+                          sizeof(float) * taped.value().size()),
+              0);
+  }
+  EXPECT_TRUE(TapeEnabled());
+  const NoTapeScope disabled(/*enabled=*/false);
+  EXPECT_TRUE(TapeEnabled());
+}
+
+// The in-place ops steal an exclusively owned op output with or without a
+// tape (the result reuses its buffer), and never steal a leaf.
+TEST(NoTapeTest, InPlaceOpsStealOpOutputsNeverLeaves) {
+  for (const bool tape : {true, false}) {
+    SCOPED_TRACE(tape ? "taped" : "tapeless");
+    const NoTapeScope scope(/*enabled=*/!tape);
+    const Variable w = Variable::Parameter(RandomTensor({4, 4}, 3));
+    const Variable x = Variable::Constant(RandomTensor({2, 4}, 4));
+    Variable product = ag::MatMul(x, w);
+    const float* product_buffer = product.value().data().data();
+    const Variable relu = ag::ReluInPlace(std::move(product));
+    EXPECT_EQ(relu.value().data().data(), product_buffer);
+
+    Variable leaf = Variable::Constant(RandomTensor({2, 4}, 5));
+    const float* leaf_buffer = leaf.value().data().data();
+    const Variable elu = ag::EluInPlace(std::move(leaf));
+    EXPECT_NE(elu.value().data().data(), leaf_buffer);
+  }
+}
+
+// A quantized weight product is an op output too: the in-place activation
+// that follows it reuses its buffer instead of copying.
+TEST(NoTapeTest, QuantizedProductIsStolenByInPlaceOps) {
+  const Variable w = Variable::Parameter(RandomTensor({8, 8}, 6));
+  const auto set = BuildQuantizedWeightSet(tensor::Precision::kInt8, {w});
+  ASSERT_NE(set, nullptr);
+  const NoTapeScope no_tape;
+  const QuantizedInferenceScope quantized(set.get());
+  Variable product =
+      ag::MatMul(Variable::Constant(RandomTensor({3, 8}, 7)), w);
+  EXPECT_TRUE(product.node()->op_output);
+  const float* buffer = product.value().data().data();
+  EXPECT_EQ(ag::EluInPlace(std::move(product)).value().data().data(), buffer);
 }
 
 TEST(ReduceGradTest, SumsOverBroadcastAxes) {
@@ -259,6 +336,44 @@ TEST(GradCheck, ConcatBothAxes) {
         return ag::SumAll(ag::Square(ag::Concat({v[0], v[1]}, 1)));
       },
       {a, b});
+}
+
+// The axis-1 backward hands each part its columns of the output gradient
+// with every bit kept (signed zeros, infinities, NaN payloads, denormals),
+// exactly as an element-by-element copy would; widths are ragged.
+TEST(ConcatTest, Axis1BackwardCopiesColumnsBitForBit) {
+  const std::vector<int> widths = {1, 7, 16, 3, 33, 2};
+  constexpr int kRows = 9;
+  std::vector<Variable> parts;
+  int total = 0;
+  for (const int w : widths) {
+    parts.push_back(Variable::Parameter(Tensor::Zeros({kRows, w})));
+    total += w;
+  }
+  const Variable out = ag::Concat(parts, /*axis=*/1);
+  Tensor g = RandomTensor({kRows, total}, 31);
+  uint32_t nan_bits = 0x7fc01234u;
+  float payload_nan;
+  std::memcpy(&payload_nan, &nan_bits, 4);
+  const float specials[] = {-0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            payload_nan,
+                            -std::numeric_limits<float>::denorm_min()};
+  for (int64_t e = 0; e < g.size(); e += 5) g.flat(e) = specials[(e / 5) % 5];
+  // Seed the node's gradient directly, so the bits above reach the closure.
+  Node* node = out.node().get();
+  node->grad = g;
+  node->grad_initialized = true;
+  node->backward_fn();
+  int offset = 0;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    Tensor want({kRows, widths[p]});
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < widths[p]; ++j) want.at(i, j) = g.at(i, offset + j);
+    }
+    EXPECT_TRUE(SameBits(parts[p].grad(), want)) << "part " << p;
+    offset += widths[p];
+  }
 }
 
 TEST(GradCheck, SliceRows) {

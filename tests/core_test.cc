@@ -213,7 +213,7 @@ TEST(AggregatorLayersTest, ShapesPreserved) {
   AttentionGnnLayer attn_layer(n, 3, &rng);
   EXPECT_EQ(attn_layer.Forward(features).value().shape(),
             (tensor::Shape{n, n}));
-  EXPECT_EQ(attn_layer.last_attention().size(), 3u);
+  EXPECT_EQ(attn_layer.Attention(features).size(), 3u);
 }
 
 TEST(AttentionAggregatorTest, AttentionRowsAreDistributions) {
@@ -222,8 +222,8 @@ TEST(AttentionAggregatorTest, AttentionRowsAreDistributions) {
   AttentionGnnLayer layer(n, 2, &rng);
   Variable features =
       Variable::Constant(Tensor::RandomUniform({n, n}, -1, 1, &rng));
-  (void)layer.Forward(features);
-  for (const Tensor& attn : layer.last_attention()) {
+  for (const Variable& head : layer.Attention(features)) {
+    const Tensor& attn = head.value();
     for (int i = 0; i < n; ++i) {
       float total = 0.0f;
       for (int j = 0; j < n; ++j) {
@@ -241,10 +241,9 @@ TEST(AttentionAggregatorTest, HeadsDiffer) {
   AttentionGnnLayer layer(n, 2, &rng);
   Variable features =
       Variable::Constant(Tensor::RandomUniform({n, n}, -1, 1, &rng));
-  (void)layer.Forward(features);
-  const auto& attn = layer.last_attention();
+  const auto attn = layer.Attention(features);
   ASSERT_EQ(attn.size(), 2u);
-  EXPECT_FALSE(attn[0].AllClose(attn[1], 1e-4f));
+  EXPECT_FALSE(attn[0].value().AllClose(attn[1].value(), 1e-4f));
 }
 
 // Eq. (11) is evaluated folded, s = F (W8 a_src) and d = F (W8 a_dst), a
@@ -259,7 +258,7 @@ TEST(AttentionAggregatorTest, FoldedScoresMatchUnfoldedEq11InDouble) {
     constexpr int kHeads = 2;
     AttentionGnnLayer layer(n, kHeads, &rng);
     const Tensor f = Tensor::RandomUniform({n, n}, -1, 1, &rng);
-    (void)layer.Forward(Variable::Constant(f));
+    const std::vector<Variable> heads = layer.Attention(Variable::Constant(f));
     for (int u = 0; u < kHeads; ++u) {
       const Tensor src =
           tensor::MatMul(f, layer.SourceScoreWeights(u).value());
@@ -290,7 +289,7 @@ TEST(AttentionAggregatorTest, FoldedScoresMatchUnfoldedEq11InDouble) {
             << "n=" << n << " head " << u << " row " << i;
       }
       // Eq. (12) from the unfolded scores: softmax_j ELU(s_i + d_j).
-      const Tensor& attention = layer.last_attention()[u];
+      const Tensor& attention = heads[u].value();
       for (int i = 0; i < n; ++i) {
         std::vector<double> e(n);
         double e_max = -INFINITY;
@@ -481,6 +480,7 @@ TEST(StgnnModelTest, TrainingStepReducesLossOnFixedBatch) {
   common::Rng rng(13);
   const auto& flow = TestFlow();
   StgnnConfig config = FastConfig();
+  config.dropout = 0.0f;  // the taped training=true Forward is the eval one
   StgnnDjdModel model(flow.num_stations, config, &rng);
   const auto norm =
       data::MinMaxNormalizer::Fit(flow.demand, flow.supply, flow.train_end);
@@ -494,7 +494,7 @@ TEST(StgnnModelTest, TrainingStepReducesLossOnFixedBatch) {
     for (int t = t0; t < t0 + 8; ++t) {
       const data::StHistory history = data::BuildStHistory(
           flow, t, config.short_term_slots, config.long_term_days, scale);
-      Variable pred = model.Forward(history, /*training=*/false, nullptr);
+      Variable pred = model.Forward(history, /*training=*/true, nullptr);
       Variable target =
           Variable::Constant(norm.Normalize(data::TargetAt(flow, t)));
       Variable loss = nn::JointDemandSupplyLoss(pred, target);

@@ -34,7 +34,7 @@ core::StgnnConfig SmallConfig() {
   config.fcg_layers = 1;
   config.pcg_layers = 1;
   config.attention_heads = 2;
-  config.dropout = 0.0f;  // Forward below runs with training=false anyway
+  config.dropout = 0.0f;  // so the taped training=true Forward is the eval one
   config.horizon = 1;
   return config;
 }
@@ -58,7 +58,8 @@ data::StHistory FixedHistory() {
 
 Variable Loss(const core::StgnnDjdModel& model, const data::StHistory& history,
               const Tensor& target) {
-  Variable prediction = model.Forward(history, /*training=*/false, nullptr);
+  // training=true records the tape; with dropout 0 it is the eval forward.
+  Variable prediction = model.Forward(history, /*training=*/true, nullptr);
   return ag::MeanAll(ag::Square(ag::Sub(prediction,
                                         Variable::Constant(target))));
 }

@@ -427,6 +427,48 @@ TEST(OnlineTrainerTest, RestoredTrainerContinuesBitIdentically) {
   ExpectTensorsEqual(got.store_outflow, want.store_outflow);
 }
 
+// The gate forwards the live model itself, not a copy of its weights: an
+// inference forward writes nothing, so the trainer shares the registry's
+// model after WarmStart, after each publish and after resyncing to an
+// external publish. ImportState gives the baseline a model of its own that
+// holds the imported weights.
+TEST(OnlineTrainerTest, BaselineIsThePublishedModel) {
+  OnlineHarness h;
+  h.Publish();
+  // Every second evaluation publishes, so rounds alternate between a
+  // freshly published baseline and one carried over (or resynced).
+  OnlineTrainerOptions options = ForcedGate();
+  options.patience = 2;
+  OnlineTrainer trainer(&h.ring, SnapshotChannel::ForRegistry(&h.registry),
+                        options);
+  ASSERT_TRUE(trainer.WarmStart().ok());
+  EXPECT_EQ(trainer.baseline().get(), h.model.get());
+
+  int publishes = 0;
+  for (int t = 12; t < 20; ++t) {
+    h.Push(t);
+    if (t == 17) {
+      h.registry.Publish(ModelSnapshot(MakeModel(h.flow.num_stations,
+                                                 h.config, 9),
+                                       h.normalizer, h.scale, h.config));
+    }
+    const PollResult result = trainer.Poll().ValueOrDie();
+    if (result.published) ++publishes;
+    if (result.evaluated) {
+      EXPECT_EQ(trainer.baseline().get(), h.registry.Current()->model.get())
+          << "frontier " << t + 1;
+    }
+  }
+  ASSERT_GT(publishes, 0);
+  EXPECT_NE(trainer.baseline().get(), h.model.get());
+
+  const TrainerState state = trainer.ExportState();
+  ASSERT_TRUE(trainer.ImportState(state).ok());
+  EXPECT_NE(trainer.baseline().get(), h.registry.Current()->model.get());
+  ExpectTensorsEqual(trainer.ExportState().baseline_params,
+                     state.baseline_params);
+}
+
 TEST(OnlineTrainerTest, ImportStateRejectsMismatches) {
   OnlineHarness h;
   h.Publish();

@@ -9,7 +9,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -205,6 +210,161 @@ TEST(StagedForwardTest, FcgPatternSplitComposesBitIdentically) {
     ASSERT_NE(staged.edge_csr, nullptr);
     EXPECT_EQ(staged.edge_csr->nnz(), direct.edge_csr->nnz());
     ExpectBitEqual(staged.weights.value(), direct.weights.value());
+  }
+}
+
+// BuildFcgPattern fills the mask in tiles; it must give, bit for bit, the
+// mask (and so the CSR) of the plain element loop, on sizes around the tile
+// width and on inputs holding zeros of both signs, negatives and NaN (none
+// of which is an edge).
+TEST(StagedForwardTest, FcgPatternMatchesElementLoop) {
+  const float specials[] = {0.0f, -0.0f, -1.5f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(), 2.0f,
+                            std::numeric_limits<float>::denorm_min()};
+  common::Rng rng(17);
+  for (const int n : {1, 5, 31, 32, 33, 70}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto random_square = [&] {
+      Tensor t({n, n});
+      for (int64_t i = 0; i < t.size(); ++i) {
+        t.flat(i) = specials[rng.UniformInt(std::size(specials))];
+      }
+      return t;
+    };
+    const Tensor inflow = random_square();
+    const Tensor outflow = random_square();
+    Tensor want({n, n});
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        const bool edge =
+            i == j || inflow.at(i, j) > 0.0f || outflow.at(j, i) > 0.0f;
+        want.at(i, j) = edge ? 1.0f : 0.0f;
+      }
+    }
+    const FcgPattern pattern = BuildFcgPattern(inflow, outflow);
+    ASSERT_EQ(pattern.edge_mask.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(pattern.edge_mask.data().data(), want.data().data(),
+                          sizeof(float) * want.size()),
+              0);
+    const tensor::Csr csr = tensor::Csr::FromDense(want);
+    EXPECT_EQ(pattern.edge_csr->row_ptr(), csr.row_ptr());
+    EXPECT_EQ(pattern.edge_csr->col_idx(), csr.col_idx());
+  }
+}
+
+// --- Inference without a tape ----------------------------------------------
+
+// A small model of the paper's shape (flow convolution, flow-aggregated FCG,
+// attention-aggregated PCG), or the mean/max aggregator variant.
+StgnnConfig ShapeConfig(bool paper_aggregators) {
+  StgnnConfig config;
+  config.short_term_slots = 3;
+  config.long_term_days = 1;
+  config.fcg_layers = 2;
+  config.pcg_layers = 2;
+  config.attention_heads = 2;
+  config.horizon = 2;
+  if (!paper_aggregators) {
+    config.fcg_aggregator = Aggregator::kMax;
+    config.pcg_aggregator = Aggregator::kMean;
+  }
+  return config;
+}
+
+// Every inference entry point runs without an autograd tape: its results
+// keep only values (no parent edges, no backward closure), and those values
+// are bit for bit the ones a taped forward computes. A training=true
+// forward with dropout 0 is the same arithmetic with the tape on.
+TEST(StagedForwardTest, InferenceRecordsNoTapeAndMatchesTapedForward) {
+  constexpr int kN = 11;
+  const int saved_threads = common::GetNumThreads();
+  for (const bool paper : {true, false}) {
+    for (const float sparse : {0.0f, 1.0f}) {
+      StgnnConfig config = ShapeConfig(paper);
+      config.dropout = 0.0f;
+      config.sparse_density_threshold = sparse;
+      common::Rng model_rng(31);
+      const StgnnDjdModel model(kN, config, &model_rng);
+      const data::StHistory history = RandomHistory(kN, 3, 1, 77);
+      for (const int threads : {1, 2, 7}) {
+        common::SetNumThreads(threads);
+        SCOPED_TRACE(config.DescribeVariant() + " sparse=" +
+                     std::to_string(sparse) + " threads=" +
+                     std::to_string(threads));
+        const autograd::Variable taped =
+            model.Forward(history, /*training=*/true, nullptr);
+        ASSERT_TRUE(taped.requires_grad());
+        ASSERT_FALSE(taped.node()->parents.empty());
+
+        const autograd::Variable eval =
+            model.Forward(history, /*training=*/false, nullptr);
+        ExpectBitEqual(eval.value(), taped.value());
+        EXPECT_FALSE(eval.requires_grad());
+        EXPECT_TRUE(eval.node()->parents.empty());
+        EXPECT_EQ(eval.node()->backward_fn, nullptr);
+
+        // Stage 2 against the taped flow convolution, stage 3 against the
+        // graph built from its taped outputs.
+        const FlowConvolution::Output flow =
+            model.flow_convolution()->Forward(history);
+        ASSERT_FALSE(flow.node_features.node()->parents.empty());
+        const StgnnDjdModel::Embeddings embeddings =
+            model.ComputeEmbeddings(history);
+        ExpectBitEqual(embeddings.node_features, flow.node_features.value());
+        ExpectBitEqual(embeddings.temporal_inflow,
+                       flow.temporal_inflow.value());
+        ExpectBitEqual(embeddings.temporal_outflow,
+                       flow.temporal_outflow.value());
+        const FlowConvolutedGraph taped_graph = BuildFlowConvolutedGraph(
+            flow.node_features, flow.temporal_inflow, flow.temporal_outflow);
+        ASSERT_FALSE(taped_graph.weights.node()->parents.empty());
+        const FlowConvolutedGraph graph = model.BuildGraph(embeddings);
+        ExpectBitEqual(graph.weights.value(), taped_graph.weights.value());
+        EXPECT_TRUE(graph.weights.node()->parents.empty());
+        EXPECT_EQ(graph.weights.node()->backward_fn, nullptr);
+
+        ExpectBitEqual(model.ForwardFromStages(embeddings, &graph),
+                       taped.value());
+      }
+    }
+  }
+  common::SetNumThreads(saved_threads);
+}
+
+// An inference forward writes nothing to the model, so threads may run
+// them at once on one shared const model — a published snapshot serving
+// beside the online trainer's gate — and each gets the sequential bits.
+// The CI TSAN job runs this suite.
+TEST(StagedForwardTest, ConcurrentInferenceOnOneSharedModelIsBitExact) {
+  constexpr int kN = 12;
+  constexpr int kRounds = 6;
+  common::Rng model_rng(41);
+  const auto model = std::make_shared<const StgnnDjdModel>(
+      kN, ShapeConfig(/*paper_aggregators=*/true), &model_rng);
+  const data::StHistory history = RandomHistory(kN, 3, 1, 88);
+  const Tensor want = model->Forward(history, false, nullptr).value();
+  const StgnnDjdModel::Embeddings embeddings =
+      model->ComputeEmbeddings(history);
+  const FlowConvolutedGraph graph = model->BuildGraph(embeddings);
+
+  std::vector<Tensor> monolith(kRounds);
+  std::vector<Tensor> staged(kRounds);
+  std::thread forward_thread([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      monolith[r] = model->Forward(history, false, nullptr).value();
+    }
+  });
+  std::thread staged_thread([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      staged[r] = model->ForwardFromStages(embeddings, &graph);
+    }
+  });
+  forward_thread.join();
+  staged_thread.join();
+  for (int r = 0; r < kRounds; ++r) {
+    ExpectBitEqual(monolith[r], want);
+    ExpectBitEqual(staged[r], want);
   }
 }
 
