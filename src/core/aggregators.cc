@@ -172,7 +172,8 @@ FlowGnnLayer::FlowGnnLayer(int feature_dim, common::Rng* rng, bool self_term,
 
 Variable FlowGnnLayer::Forward(
     const Variable& features, const Variable& flow_weights,
-    const std::shared_ptr<const tensor::Csr>& pattern) const {
+    const std::shared_ptr<const tensor::Csr>& pattern,
+    const Variable& self_rows) const {
   STGNN_TRACE_SCOPE("FlowGnn.Forward");
   STGNN_COUNTER_INC("op.flow_gnn_layer");
   // Eq. (13)-(14): the aggregate runs over {F_i} ∪ {neighbours}; the node's
@@ -185,7 +186,7 @@ Variable FlowGnnLayer::Forward(
       pattern ? ag::SparseMatMul(flow_weights, features, pattern)
               : ag::MatMul(flow_weights, features);
   if (self_term_) {
-    aggregated = ag::AddInPlace(std::move(aggregated), features);
+    aggregated = ag::AddInPlace(std::move(aggregated), self_rows);
   }
   return ag::ReluInPlace(ag::MatMul(aggregated, weight_));
 }
@@ -290,23 +291,63 @@ Variable AttentionGnnLayer::DestScoreWeights(int head) const {
   return ag::MatMul(w8_[head], a_dst_[head]);
 }
 
+Variable AttentionGnnLayer::DestScores(const Variable& features,
+                                       int head) const {
+  return ag::MatMul(features, DestScoreWeights(head));
+}
+
+Variable AttentionGnnLayer::Values(const Variable& features, int head) const {
+  // The paper writes phi F with phi in R^{n x n}; with feature dim n both
+  // orders type-check and we apply phi on the feature side, the standard
+  // value transform.
+  return ag::MatMul(features, phi_[head]);
+}
+
+Variable AttentionGnnLayer::HeadAttention(const Variable& queries,
+                                          const Variable& dest_row,
+                                          int head) const {
+  STGNN_CHECK_EQ(queries.value().dim(1), feature_dim_);
+  // Eq. (15): e(i,j) = ELU([F_i W8 || F_j W8] W9). Splitting W9 into the
+  // source/destination halves turns the pairwise concat into an outer sum:
+  // e = ELU(s 1^T + 1 d^T) with s = (F W8) a_src, d = (F W8) a_dst. By
+  // associativity these are F (W8 a_src) and F (W8 a_dst): two matvecs
+  // after [f, f] x [f, 1] products, never the [n, f] x [f, f] projection.
+  Variable src = ag::MatMul(queries, SourceScoreWeights(head));  // [rows, 1]
+  // Eq. (16): dense softmax over all stations — no locality prior.
+  return ag::RowSoftmax(ag::EluInPlace(ag::Add(src, dest_row)));
+}
+
+Variable AttentionGnnLayer::Attend(
+    const Variable& queries,
+    const std::function<HeadInputs(int head)>& head_inputs) const {
+  std::vector<Variable> head_outputs;
+  head_outputs.reserve(num_heads_);
+  for (int u = 0; u < num_heads_; ++u) {
+    const HeadInputs in = head_inputs(u);
+    // Eq. (17): head output sigma2(alpha · (F phi_u)). Algorithm 1 line 6
+    // aggregates {F_i} ∪ {neighbours}: the node's own transformed features
+    // enter alongside the attention sum. This self term also prevents the
+    // additive-score degeneracy (softmax removes the row-constant s_i, so
+    // attention rows alone would be near-identical and would smooth every
+    // station to the same embedding).
+    Variable aggregated =
+        ag::MatMul(HeadAttention(queries, in.dest_row, u), in.values);
+    if (self_term_) {
+      aggregated = ag::AddInPlace(std::move(aggregated), in.self_values);
+    }
+    head_outputs.push_back(ag::EluInPlace(std::move(aggregated)));
+  }
+  // Eq. (18): concat heads and project with W10.
+  return ag::MatMul(ag::Concat(head_outputs, /*axis=*/1), w10_);
+}
+
 std::vector<Variable> AttentionGnnLayer::Attention(
     const Variable& features) const {
-  STGNN_CHECK_EQ(features.value().dim(1), feature_dim_);
   std::vector<Variable> heads;
   heads.reserve(num_heads_);
   for (int u = 0; u < num_heads_; ++u) {
-    // Eq. (15): e(i,j) = ELU([F_i W8 || F_j W8] W9). Splitting W9 into the
-    // source/destination halves turns the pairwise concat into an outer sum:
-    // e = ELU(s 1^T + 1 d^T) with s = (F W8) a_src, d = (F W8) a_dst. By
-    // associativity these are F (W8 a_src) and F (W8 a_dst): two matvecs
-    // after [f, f] x [f, 1] products, never the [n, f] x [f, f] projection.
-    Variable src = ag::MatMul(features, SourceScoreWeights(u));  // [n, 1]
-    Variable dst =
-        ag::Transpose(ag::MatMul(features, DestScoreWeights(u)));  // [1, n]
-    // Eq. (16): dense softmax over all stations — no locality prior.
-    heads.push_back(
-        ag::RowSoftmax(ag::EluInPlace(ag::Add(src, dst))));  // [n, n]
+    heads.push_back(HeadAttention(
+        features, ag::Transpose(DestScores(features, u)), u));  // [n, n]
   }
   return heads;
 }
@@ -314,31 +355,11 @@ std::vector<Variable> AttentionGnnLayer::Attention(
 Variable AttentionGnnLayer::Forward(const Variable& features) const {
   STGNN_TRACE_SCOPE("AttentionGnn.Forward");
   STGNN_COUNTER_INC("op.attention_gnn_layer");
-  std::vector<Variable> attention = Attention(features);
-  std::vector<Variable> head_outputs;
-  head_outputs.reserve(num_heads_);
-  for (int u = 0; u < num_heads_; ++u) {
-    // Moved out so that, without a tape, each softmax is freed once its
-    // head has aggregated.
-    const Variable alpha = std::move(attention[u]);
-    // Eq. (17): head output sigma2(alpha · (F phi_u)). The paper writes
-    // phi F with phi in R^{n x n}; with feature dim n both orders type-check
-    // and we apply phi on the feature side, the standard value transform.
-    // Algorithm 1 line 6 aggregates {F_i} ∪ {neighbours}: the node's own
-    // transformed features enter alongside the attention sum. This self term
-    // also prevents the additive-score degeneracy (softmax removes the
-    // row-constant s_i, so attention rows alone would be near-identical and
-    // would smooth every station to the same embedding).
-    Variable transformed = ag::MatMul(features, phi_[u]);
-    Variable aggregated = ag::MatMul(alpha, transformed);
-    if (self_term_) {
-      aggregated = ag::AddInPlace(std::move(aggregated), transformed);
-    }
-    head_outputs.push_back(ag::EluInPlace(std::move(aggregated)));
-  }
-  // Eq. (18): concat heads and project with W10.
-  Variable concat = ag::Concat(head_outputs, /*axis=*/1);  // [n, m*f]
-  return ag::MatMul(concat, w10_);
+  // Every row queries, so the rows' own values are the values themselves.
+  return Attend(features, [&](int u) {
+    const Variable values = Values(features, u);
+    return HeadInputs{ag::Transpose(DestScores(features, u)), values, values};
+  });
 }
 
 }  // namespace stgnn::core

@@ -1,6 +1,7 @@
 #ifndef STGNN_CORE_AGGREGATORS_H_
 #define STGNN_CORE_AGGREGATORS_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,15 +42,21 @@ class FlowGnnLayer : public nn::Module {
   FlowGnnLayer(int feature_dim, common::Rng* rng, bool self_term = true,
                bool near_identity = true);
 
+  // The output rows whose E_f rows `flow_weights` holds ([rows, n], and
+  // the pattern's matching rows when sparse); `self_rows` are those rows of
+  // `features`, read only when self_term(). The three-argument form
+  // computes every row.
+  autograd::Variable Forward(const autograd::Variable& features,
+                             const autograd::Variable& flow_weights,
+                             const std::shared_ptr<const tensor::Csr>& pattern,
+                             const autograd::Variable& self_rows) const;
   autograd::Variable Forward(
       const autograd::Variable& features,
       const autograd::Variable& flow_weights,
-      const std::shared_ptr<const tensor::Csr>& pattern = nullptr) const;
+      const std::shared_ptr<const tensor::Csr>& pattern = nullptr) const {
+    return Forward(features, flow_weights, pattern, features);
+  }
 
-  // Parameter access for the sharded staged forward, which recomputes row
-  // subsets of this layer and must multiply against the same weight
-  // Variable so int8 weight lookups resolve identically.
-  const autograd::Variable& weight() const { return weight_; }
   bool self_term() const { return self_term_; }
 
  private:
@@ -99,11 +106,31 @@ class AttentionGnnLayer : public nn::Module {
   autograd::Variable Forward(const autograd::Variable& features) const;
 
   // Eq. (15)-(16) over `features`: each head's [n, n] attention softmax, in
-  // head order. Forward aggregates with exactly these; the case-study
-  // experiments (Figs. 11-12) read their values. Writes nothing, so
-  // forwards on a shared model may run concurrently.
+  // head order, for the case-study experiments (Figs. 11-12). Writes
+  // nothing, so forwards on a shared model may run concurrently.
   std::vector<autograd::Variable> Attention(
       const autograd::Variable& features) const;
+
+  // Forward's steps over any subset of station rows (a serving shard runs
+  // them on its own rows). Eq. (11) scores F (W8_u a_dst_u), [rows, 1], and
+  // Eq. (17) values F phi_u, [rows, f], of `features`' rows:
+  autograd::Variable DestScores(const autograd::Variable& features,
+                                int head) const;
+  autograd::Variable Values(const autograd::Variable& features,
+                            int head) const;
+  // What the query rows of one head attend over.
+  struct HeadInputs {
+    autograd::Variable dest_row;     // every station's dest score, [1, n]
+    autograd::Variable values;       // every station's values, [n, f]
+    autograd::Variable self_values;  // the query rows' own, [rows, f];
+                                     // read only when self_term()
+  };
+  // Eq. (15)-(18) for the query rows `queries`, [rows, f] -> [rows, f].
+  // Asks `head_inputs` for one head at a time, so without a tape each
+  // head's values and [rows, n] softmax are freed once it has aggregated.
+  autograd::Variable Attend(
+      const autograd::Variable& queries,
+      const std::function<HeadInputs(int head)>& head_inputs) const;
 
   int num_heads() const { return num_heads_; }
   int feature_dim() const { return feature_dim_; }
@@ -111,21 +138,24 @@ class AttentionGnnLayer : public nn::Module {
 
   // Eq. (11) folded: W8 enters the scores only through its products with
   // the two halves of W9, so s = F (W8_u a_src_u) and d = F (W8_u a_dst_u).
-  // Each is an [f, f] x [f, 1] product (a matvec), shared by the monolithic
-  // and the row-sliced forwards so both see the same folded vector.
+  // Each is an [f, f] x [f, 1] product (a matvec).
   autograd::Variable SourceScoreWeights(int head) const;
   autograd::Variable DestScoreWeights(int head) const;
 
-  // Per-head parameter access: the sharded staged forward reads phi and
-  // W10, the int8 weight set leaves out W8, and tests evaluate the unfolded
-  // Eq. (11) from W8 and a.
+  // Per-head parameter access: the int8 weight set leaves out W8, and
+  // tests evaluate the unfolded Eq. (11) from W8 and a.
   const autograd::Variable& w8(int head) const { return w8_[head]; }
   const autograd::Variable& a_src(int head) const { return a_src_[head]; }
   const autograd::Variable& a_dst(int head) const { return a_dst_[head]; }
   const autograd::Variable& phi(int head) const { return phi_[head]; }
-  const autograd::Variable& w10() const { return w10_; }
 
  private:
+  // Eq. (15)-(16): the query rows' attention over all stations, given every
+  // station's destination score as one [1, n] row. [rows, n].
+  autograd::Variable HeadAttention(const autograd::Variable& queries,
+                                   const autograd::Variable& dest_row,
+                                   int head) const;
+
   int feature_dim_;
   int num_heads_;
   bool self_term_;

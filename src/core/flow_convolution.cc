@@ -38,13 +38,35 @@ FlowConvolution::FlowConvolution(int num_stations, int short_term_slots,
 
 Variable FlowConvolution::ConvBranch(const Variable& weight,
                                      const Variable& bias,
-                                     const tensor::Tensor& stacked) const {
+                                     const tensor::Tensor& cells) const {
   const int n = num_stations_;
-  STGNN_CHECK_EQ(stacked.dim(1), n * n);
-  Variable channels = Variable::Constant(stacked);  // [c, n*n]
-  Variable mixed = ag::MatMul(weight, channels);    // [1, n*n]
-  Variable matrix = ag::Reshape(mixed, {n, n});
+  STGNN_CHECK_EQ(cells.dim(1) % n, 0);
+  const int rows = cells.dim(1) / n;
+  STGNN_CHECK(bias.value().shape() == tensor::Shape({rows, n}));
+  Variable channels = Variable::Constant(cells);  // [c, rows*n]
+  Variable mixed = ag::MatMul(weight, channels);  // [1, rows*n]
+  Variable matrix = ag::Reshape(mixed, {rows, n});
   return ag::Relu(ag::Add(matrix, bias));
+}
+
+Variable FlowConvolution::Fuse(const Variable& gate,
+                               const Variable& difference,
+                               const Variable& short_rows,
+                               const Variable& long_rows) {
+  // beta_S = sigmoid(W (ÎS - ÎL)) is the stable form of
+  // exp(W ÎS) / (exp(W ÎS) + exp(W ÎL)); beta_L = 1 - beta_S.
+  Variable beta_short = ag::Sigmoid(ag::MatMul(gate, difference));
+  Variable beta_long = ag::Sub(
+      Variable::Constant(tensor::Tensor::Ones(beta_short.value().shape())),
+      beta_short);
+  return ag::Add(ag::Mul(beta_short, short_rows),
+                 ag::Mul(beta_long, long_rows));
+}
+
+Variable FlowConvolution::Project(const Variable& temporal_inflow,
+                                  const Variable& temporal_outflow) const {
+  return ag::MatMul(
+      ag::Concat({temporal_inflow, temporal_outflow}, /*axis=*/1), w7_);
 }
 
 FlowConvolution::Output FlowConvolution::Forward(
@@ -58,27 +80,16 @@ FlowConvolution::Output FlowConvolution::Forward(
   Variable inflow_long = ConvBranch(w3_, b3_, history.inflow_long);
   Variable outflow_long = ConvBranch(w4_, b4_, history.outflow_long);
 
-  // Eq. (5)-(8): attentive fusion. beta_S = sigmoid(W (ÎS - ÎL)) is the
-  // stable form of exp(W ÎS) / (exp(W ÎS) + exp(W ÎL)); beta_L = 1 - beta_S.
-  auto fuse = [](const Variable& gate_weight, const Variable& short_term,
-                 const Variable& long_term) {
-    Variable beta_short =
-        ag::Sigmoid(ag::MatMul(gate_weight, ag::Sub(short_term, long_term)));
-    Variable beta_long =
-        ag::Sub(Variable::Constant(
-                    tensor::Tensor::Ones(beta_short.value().shape())),
-                beta_short);
-    return ag::Add(ag::Mul(beta_short, short_term),
-                   ag::Mul(beta_long, long_term));
-  };
+  // Eq. (5)-(8): attentive fusion of every row.
   Output output;
-  output.temporal_inflow = fuse(w5_, inflow_short, inflow_long);
-  output.temporal_outflow = fuse(w6_, outflow_short, outflow_long);
+  output.temporal_inflow = Fuse(w5_, ag::Sub(inflow_short, inflow_long),
+                                inflow_short, inflow_long);
+  output.temporal_outflow = Fuse(w6_, ag::Sub(outflow_short, outflow_long),
+                                 outflow_short, outflow_long);
 
   // Eq. (9): T = (Î || Ô) W7.
-  Variable concat =
-      ag::Concat({output.temporal_inflow, output.temporal_outflow}, /*axis=*/1);
-  output.node_features = ag::MatMul(concat, w7_);
+  output.node_features =
+      Project(output.temporal_inflow, output.temporal_outflow);
   return output;
 }
 

@@ -31,14 +31,27 @@ class FlowConvolution : public nn::Module {
 
   Output Forward(const data::StHistory& history) const;
 
-  int num_stations() const { return num_stations_; }
-  int short_term_slots() const { return short_term_slots_; }
-  int long_term_days() const { return long_term_days_; }
+  // Forward's steps over any subset of station rows: Forward passes the
+  // parameters themselves, a serving shard its rows of b1-b4 and W5/W6.
+  // Eq. (1)-(4): ReLU(reshape(weight · cells) + bias) for the rows whose
+  // cells of a stacked history `cells` holds, [c, rows·n]; bias [rows, n].
+  autograd::Variable ConvBranch(const autograd::Variable& weight,
+                                const autograd::Variable& bias,
+                                const tensor::Tensor& cells) const;
+  // Eq. (5)-(8) for the rows of W5 or W6 in `gate`: beta_S =
+  // sigmoid(gate · difference), with `difference` the full S - L, blends
+  // those rows of S and L.
+  static autograd::Variable Fuse(const autograd::Variable& gate,
+                                 const autograd::Variable& difference,
+                                 const autograd::Variable& short_rows,
+                                 const autograd::Variable& long_rows);
+  // Eq. (9): T = (Î || Ô) W7.
+  autograd::Variable Project(const autograd::Variable& temporal_inflow,
+                             const autograd::Variable& temporal_outflow) const;
 
-  // Parameter access for the sharded staged forward (core/sharded_forward),
-  // which re-expresses Forward() as row-subset computations and needs the
-  // *same Variable objects* so the quantized-weight registry (keyed by
-  // parameter node identity) resolves identically on both paths.
+  // Parameter access for the step callers, which must pass the *same
+  // Variable objects* so the quantized-weight registry (keyed by parameter
+  // node identity) resolves identically on every path.
   const autograd::Variable& w1() const { return w1_; }
   const autograd::Variable& b1() const { return b1_; }
   const autograd::Variable& w2() const { return w2_; }
@@ -52,11 +65,6 @@ class FlowConvolution : public nn::Module {
   const autograd::Variable& w7() const { return w7_; }
 
  private:
-  // Applies a 1x1 conv branch: ReLU(reshape(weight * stacked) + bias).
-  autograd::Variable ConvBranch(const autograd::Variable& weight,
-                                const autograd::Variable& bias,
-                                const tensor::Tensor& stacked) const;
-
   int num_stations_;
   int short_term_slots_;
   int long_term_days_;

@@ -47,16 +47,18 @@ FcgBranch::FcgBranch(int feature_dim, int num_layers, Aggregator aggregator,
   }
 }
 
+bool FcgBranch::DispatchesSparse(const FlowConvolutedGraph& graph) const {
+  return graph.edge_csr != nullptr &&
+         graph.edge_csr->density() < sparse_density_threshold_;
+}
+
 Variable FcgBranch::Forward(const Variable& features,
                             const FlowConvolutedGraph& graph) const {
-  // One density check covers all K layers: the CSR view is built once per
-  // slot by BuildFlowConvolutedGraph and shared here. Null `pattern` keeps
-  // every layer on the dense kernels.
-  const bool sparse =
-      graph.edge_csr != nullptr &&
-      graph.edge_csr->density() < sparse_density_threshold_;
+  // The CSR view is built once per slot by BuildFlowConvolutedGraph and
+  // shared by all K layers. Null `pattern` keeps every layer on the dense
+  // kernels.
   const std::shared_ptr<const tensor::Csr> pattern =
-      sparse ? graph.edge_csr : nullptr;
+      DispatchesSparse(graph) ? graph.edge_csr : nullptr;
   Variable h = features;
   switch (aggregator_) {
     case Aggregator::kFlow:
@@ -217,10 +219,14 @@ Variable StgnnDjdModel::RunHead(const Variable& features,
   if (config_.ablation.use_pcg) {
     branch_outputs.push_back(pcg_branch_->Forward(features));
   }
+  return Head(branch_outputs, training, dropout_rng);
+}
+
+Variable StgnnDjdModel::Head(const std::vector<Variable>& branches,
+                             bool training, common::Rng* dropout_rng) const {
   // Eq. (19): concatenate branch embeddings per station.
-  Variable embedding = branch_outputs.size() == 1
-                           ? branch_outputs[0]
-                           : ag::Concat(branch_outputs, /*axis=*/1);
+  Variable embedding = branches.size() == 1 ? branches[0]
+                                            : ag::Concat(branches, /*axis=*/1);
   embedding = ag::Dropout(embedding, config_.dropout, training, dropout_rng);
   // Eq. (20): joint demand/supply linear head.
   return output_layer_->Forward(embedding);

@@ -30,8 +30,10 @@ class FcgBranch : public nn::Module {
   autograd::Variable Forward(const autograd::Variable& features,
                              const FlowConvolutedGraph& graph) const;
 
-  Aggregator aggregator() const { return aggregator_; }
-  float sparse_density_threshold() const { return sparse_density_threshold_; }
+  // True when the layers aggregate `graph` through its CSR view rather
+  // than the dense kernels. One decision per slot covers all layers.
+  bool DispatchesSparse(const FlowConvolutedGraph& graph) const;
+
   int num_flow_layers() const { return static_cast<int>(flow_layers_.size()); }
   const FlowGnnLayer& flow_layer(int i) const { return *flow_layers_[i]; }
 
@@ -149,18 +151,23 @@ class StgnnDjdModel : public nn::Module {
   std::shared_ptr<const autograd::QuantizedWeightSet> QuantizeWeights(
       tensor::Precision precision) const;
 
+  // Eq. (19)-(20) for any station rows: the rows' branch embeddings (FCG
+  // first, as the config enables them), concatenated, through dropout and
+  // the joint demand/supply head. Normalised, [rows, 2*horizon].
+  autograd::Variable Head(const std::vector<autograd::Variable>& branches,
+                          bool training, common::Rng* dropout_rng) const;
+
   int num_stations() const { return num_stations_; }
   const StgnnConfig& config() const { return config_; }
 
-  // Component access for the sharded staged forward (core/sharded_forward),
-  // which replays row subsets of stages 2-4 against the same parameter
-  // Variables. Null when the matching ablation disables the component.
+  // Component access for callers that run a component, or its steps over
+  // a subset of station rows, on its own (the sharded serving fleet, the
+  // stage benchmarks). Null when the matching ablation disables it.
   const FlowConvolution* flow_convolution() const {
     return flow_convolution_.get();
   }
   const FcgBranch* fcg_branch() const { return fcg_branch_.get(); }
   const PcgBranch* pcg_branch() const { return pcg_branch_.get(); }
-  const nn::Linear& output_layer() const { return *output_layer_; }
 
  private:
   // Stage 2 with the autograd graph attached (training path).

@@ -63,9 +63,9 @@ struct PredictResponse {
 
 struct ServiceOptions {
   // Worker threads draining the queue. Model execution itself is
-  // serialised (the kernels already fan out on the shared thread pool, and
-  // StgnnDjdModel::Forward caches attention for inspection), so extra
-  // workers overlap feature assembly / response slicing with the forward.
+  // serialised (the kernels already fan out on the shared thread pool), so
+  // extra workers overlap feature assembly / response slicing with the
+  // forward.
   // Requests that queue while a forward runs are bound to that forward
   // when it finishes, so one worker already keeps batches full.
   int num_workers = 1;

@@ -10,10 +10,80 @@
 #include "common/counters.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/graph_generator.h"
+#include "core/stgnn_djd.h"
+#include "tensor/csr.h"
 
 namespace stgnn::serve {
 
+using autograd::Variable;
+using tensor::GatherRows;
 using tensor::Tensor;
+
+// Row-sliced execution (DESIGN.md §10). Every kernel accumulates each
+// output element in a fixed order and vectorises only across independent
+// outputs, so row r of MatMul(A, B) is bit-identical to row r of
+// MatMul(A[rows], B); the same holds for SpMM, the per-row softmax, the
+// broadcast Add and every elementwise op. The rounds and the replay below
+// therefore run the model's own layer steps on the shard's rows, with the
+// cross-shard terms ("halo") assembled by the coordinator, and get the
+// unsharded forward's rows bit for bit. Under int8 too: the steps multiply
+// against the model's own parameters, and activations quantize per row.
+
+// Per-layer replay plan for the sparse FCG path: the transitive
+// in-neighbour closure of the owned rows, walked backward from the last
+// layer (layer l computes global rows plan[l].rows; self-loops make each
+// set a superset of the next). Built once per (slot, snapshot).
+struct FcgLayerPlan {
+  std::vector<int> rows;  // global output rows of this layer, ascending
+  std::shared_ptr<const tensor::Csr> sub_pattern;  // [rows.size(), n]
+  // E_f values at `rows` as a constant graph leaf, [rows.size(), n]. Built
+  // once so every replay shares the leaf instead of re-copying the slice.
+  Variable weight_rows;
+};
+
+// One attention layer's assembled halo as constant leaves, built once per
+// (slot, snapshot) and shared by every replay. Sharing is safe: the
+// in-place autograd ops never steal a leaf's buffer.
+struct PcgLayerHaloVars {
+  std::vector<Variable> d_full;  // per head, [1, n]
+  std::vector<Variable> v_full;  // per head, [n, f]
+};
+
+// The memoised stages the per-batch owned-row replay needs. Deliberately
+// NOT the final predictions: Execute re-runs the owned-row head (FCG
+// replay, attention layers, fusion head) per batch, so a K-shard fleet
+// really does split the per-batch compute K ways instead of serving a
+// precomputed answer.
+struct ShardSlotContext {
+  int slot = -1;
+  uint64_t model_version = 0;
+  // Pins the weights the context was built against across hot-swaps.
+  std::shared_ptr<const ModelSnapshot> snapshot;
+  // Assembled node features T (full, the FCG replay reads closure rows) as
+  // a constant leaf shared by every replay, and the shard's own rows (the
+  // first attention layer's input).
+  Variable t_full;  // [n, f]
+  Tensor t_rows;    // [o, f]
+  // The slot's full FCG, derived locally from the assembled embeddings
+  // (deterministic: every shard builds the identical graph).
+  core::FlowConvolutedGraph graph;
+  // FCG replay: the sparse per-layer plan, or, when the slot dispatches
+  // dense (empty plan), the full branch output computed once at build and
+  // sliced per batch.
+  std::vector<FcgLayerPlan> fcg_plan;
+  Tensor fcg_full;  // dense dispatch only, [n, f]
+  // Per attention layer, the assembled halo the owned-row replay attends
+  // over; a build expects the layer whose index is its size.
+  std::vector<PcgLayerHaloVars> pcg_halo;
+};
+
+// A context under construction, plus the rolling attention input the next
+// round's exports derive from.
+struct ShardEngine::Building {
+  ShardSlotContext ctx;
+  Tensor pcg_in_rows;
+};
 
 namespace {
 
@@ -80,6 +150,107 @@ struct ReplayTicket {
   ReplayTicket& operator=(const ReplayTicket&) = delete;
 };
 
+// Rows `rows` of `full` as a constant leaf.
+Variable Rows(const Tensor& full, const std::vector<int>& rows) {
+  return Variable::Constant(GatherRows(full, rows));
+}
+
+std::vector<FcgLayerPlan> BuildFcgPlan(const core::FlowConvolutedGraph& graph,
+                                       int layers,
+                                       const std::vector<int>& owned) {
+  STGNN_TRACE_SCOPE("Shard.FcgPlan");
+  const int n = graph.edge_csr->cols();
+  const auto& row_ptr = graph.edge_csr->row_ptr();
+  const auto& col_idx = graph.edge_csr->col_idx();
+
+  // Walk backward: the last layer emits the owned rows; each earlier layer
+  // must emit every in-neighbour of the rows the next layer reads
+  // (self-loops keep each set a superset of its successor).
+  std::vector<std::vector<int>> rows_of(layers);
+  rows_of[layers - 1] = owned;
+  for (int l = layers - 1; l > 0; --l) {
+    std::vector<char> needed(n, 0);
+    for (int i : rows_of[l]) {
+      for (int e = row_ptr[i]; e < row_ptr[i + 1]; ++e) needed[col_idx[e]] = 1;
+      needed[i] = 1;
+    }
+    for (int j = 0; j < n; ++j) {
+      if (needed[j]) rows_of[l - 1].push_back(j);
+    }
+  }
+
+  std::vector<FcgLayerPlan> plan(layers);
+  for (int l = 0; l < layers; ++l) {
+    plan[l].rows = std::move(rows_of[l]);
+    plan[l].sub_pattern = std::make_shared<const tensor::Csr>(
+        tensor::Csr::FromDense(GatherRows(graph.edge_mask, plan[l].rows)));
+    plan[l].weight_rows = Rows(graph.weights.value(), plan[l].rows);
+  }
+  return plan;
+}
+
+// The owned rows of the FCG branch output, [o, f]: each layer's Forward
+// over the plan's rows. A layer's input holds valid data at (at least) the
+// rows its sub-pattern reads; rows outside the closure stay zero and are
+// never read. The first layer reads the context's shared leaf.
+Tensor ReplayFcgRows(const core::FcgBranch& branch,
+                     const std::vector<FcgLayerPlan>& plan,
+                     const Variable& features_full) {
+  STGNN_TRACE_SCOPE("Shard.FcgRows");
+  STGNN_CHECK_EQ(static_cast<int>(plan.size()), branch.num_flow_layers());
+  Variable x = features_full;
+  Tensor h_rows;
+  for (size_t l = 0; l < plan.size(); ++l) {
+    const FcgLayerPlan& p = plan[l];
+    const core::FlowGnnLayer& layer = branch.flow_layer(static_cast<int>(l));
+    h_rows = layer
+                 .Forward(x, p.weight_rows, p.sub_pattern,
+                          layer.self_term() ? Rows(x.value(), p.rows)
+                                            : Variable())
+                 .value();
+    if (l + 1 < plan.size()) {
+      Tensor next(x.value().shape());
+      tensor::ScatterRows(h_rows, p.rows, &next);
+      x = Variable::Constant(std::move(next));
+    }
+  }
+  return h_rows;
+}
+
+// Per head, the destination scores and values of one attention layer's
+// input rows: the shard's part of the layer's halo.
+PcgHeadExports ExportHeads(const core::AttentionGnnLayer& layer,
+                           const Tensor& in_rows) {
+  const Variable rows = Variable::Constant(in_rows);
+  PcgHeadExports out;
+  for (int u = 0; u < layer.num_heads(); ++u) {
+    out.d.push_back(layer.DestScores(rows, u).value());  // [o, 1]
+    out.v.push_back(layer.Values(rows, u).value());      // [o, f]
+  }
+  return out;
+}
+
+// One attention layer's output at the owned rows `owned`, [o, f]: the
+// queries are the layer's input at those rows, and they attend over the
+// assembled halo, whose value rows at `owned` are bitwise the shard's own
+// values and so supply the self term.
+Tensor AttendRows(const core::AttentionGnnLayer& layer, const Tensor& in_rows,
+                  const std::vector<int>& owned,
+                  const PcgLayerHaloVars& halo) {
+  STGNN_TRACE_SCOPE("Shard.PcgRows");
+  STGNN_CHECK_EQ(in_rows.dim(0), static_cast<int>(owned.size()));
+  return layer
+      .Attend(Variable::Constant(in_rows),
+              [&](int u) {
+                const Variable& values = halo.v_full[u];
+                return core::AttentionGnnLayer::HeadInputs{
+                    halo.d_full[u], values,
+                    layer.self_term() ? Rows(values.value(), owned)
+                                      : Variable()};
+              })
+      .value();
+}
+
 }  // namespace
 
 ShardEngine::ShardEngine(int shard, const graph::Partition& partition,
@@ -137,7 +308,11 @@ Result<ShardEngine::Building*> ShardEngine::FindBuild(int slot,
   return it->second.get();
 }
 
-Result<core::ShardConvRows> ShardEngine::ConvRows(int slot, uint64_t version) {
+bool ShardEngine::HasContext(int slot, uint64_t version) {
+  return cache_.Probe(slot, version);
+}
+
+Result<ShardConvRows> ShardEngine::ConvRows(int slot, uint64_t version) {
   STGNN_TRACE_SCOPE("Shard.ConvRows");
   Result<std::shared_ptr<const ModelSnapshot>> snapshot =
       RoundSnapshot(version);
@@ -159,13 +334,21 @@ Result<core::ShardConvRows> ShardEngine::ConvRows(int slot, uint64_t version) {
   const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
-  core::ShardConvRows rows = core::ComputeShardConvRows(
-      *(*snapshot)->model->flow_convolution(), *history, owned_);
+  // The shard ring's window holds only the owned rows' cells, so each
+  // branch sees those rows of its bias.
+  const core::FlowConvolution& fc = *(*snapshot)->model->flow_convolution();
+  auto conv = [&](const Variable& weight, const Variable& bias,
+                  const Tensor& cells) {
+    return fc.ConvBranch(weight, Rows(bias.value(), owned_), cells).value();
+  };
   builds_[{slot, version}] = std::move(build);
-  return rows;
+  return ShardConvRows{conv(fc.w1(), fc.b1(), (*history).inflow_short),
+                       conv(fc.w2(), fc.b2(), (*history).outflow_short),
+                       conv(fc.w3(), fc.b3(), (*history).inflow_long),
+                       conv(fc.w4(), fc.b4(), (*history).outflow_long)};
 }
 
-Result<core::ShardFusedRows> ShardEngine::FuseRows(
+Result<ShardFusedRows> ShardEngine::FuseRows(
     int slot, uint64_t version, const Tensor& inflow_short_full,
     const Tensor& outflow_short_full, const Tensor& inflow_long_full,
     const Tensor& outflow_long_full) {
@@ -181,12 +364,24 @@ Result<core::ShardFusedRows> ShardEngine::FuseRows(
   const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
-  return core::ComputeShardFusedRows(
-      *(*snapshot)->model->flow_convolution(), owned_, inflow_short_full,
-      outflow_short_full, inflow_long_full, outflow_long_full);
+  // The gate rows W[owned] · (S − L) need every station's conv row: that
+  // is this round's halo. The blend reads only the owned rows.
+  const core::FlowConvolution& fc = *(*snapshot)->model->flow_convolution();
+  auto fuse = [&](const Variable& gate, const Tensor& short_full,
+                  const Tensor& long_full) {
+    return core::FlowConvolution::Fuse(
+        Rows(gate.value(), owned_),
+        Variable::Constant(tensor::Sub(short_full, long_full)),
+        Rows(short_full, owned_), Rows(long_full, owned_));
+  };
+  const Variable inflow = fuse(fc.w5(), inflow_short_full, inflow_long_full);
+  const Variable outflow =
+      fuse(fc.w6(), outflow_short_full, outflow_long_full);
+  return ShardFusedRows{inflow.value(), outflow.value(),
+                        fc.Project(inflow, outflow).value()};
 }
 
-Result<core::PcgHeadExports> ShardEngine::BuildLocal(
+Result<PcgHeadExports> ShardEngine::BuildLocal(
     int slot, uint64_t version, const Tensor& temporal_inflow_full,
     const Tensor& temporal_outflow_full, const Tensor& node_features_full) {
   STGNN_TRACE_SCOPE("Shard.BuildLocal");
@@ -199,6 +394,7 @@ Result<core::PcgHeadExports> ShardEngine::BuildLocal(
   Result<Building*> found = FindBuild(slot, version);
   if (!found.ok()) return found.status();
   Building* build = *found;
+  ShardSlotContext& ctx = build->ctx;
 
   const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
@@ -207,41 +403,35 @@ Result<core::PcgHeadExports> ShardEngine::BuildLocal(
   // Every shard derives the identical graph from the identical assembled
   // embeddings — topology and Eq. (10) weights are deterministic — so the
   // graph itself never crosses the transport.
-  core::StgnnDjdModel::Embeddings embeddings;
-  embeddings.temporal_inflow = temporal_inflow_full;
-  embeddings.temporal_outflow = temporal_outflow_full;
-  embeddings.node_features = node_features_full;
-  build->ctx.graph = model.BuildGraph(embeddings);
-  build->ctx.has_graph = true;
-  build->ctx.t_full = autograd::Variable::Constant(node_features_full);
-  build->ctx.t_rows = core::GatherRows(node_features_full, owned_);
-  build->ctx.halo_rows =
-      core::CountHaloRows(*build->ctx.graph.edge_csr, owner_, shard_);
+  ctx.graph = model.BuildGraph({.node_features = node_features_full,
+                                 .temporal_inflow = temporal_inflow_full,
+                                 .temporal_outflow = temporal_outflow_full});
+  ctx.t_full = Variable::Constant(node_features_full);
+  ctx.t_rows = GatherRows(node_features_full, owned_);
+  // Distinct remote in-neighbour stations of this shard's FCG rows — the
+  // rows a row-sliced transport would actually ship.
   STGNN_COUNTER_ADD("serve.shard.halo_rows",
-                    static_cast<uint64_t>(build->ctx.halo_rows));
+                    static_cast<uint64_t>(core::CountHaloRows(
+                        *ctx.graph.edge_csr, owner_, shard_)));
 
   const core::FcgBranch& fcg = *model.fcg_branch();
-  build->ctx.sparse_fcg = core::FcgDispatchesSparse(fcg, build->ctx.graph);
-  if (build->ctx.sparse_fcg) {
-    build->ctx.fcg_plan = core::BuildFcgPlan(fcg, build->ctx.graph, owned_);
+  if (fcg.DispatchesSparse(ctx.graph)) {
+    ctx.fcg_plan = BuildFcgPlan(ctx.graph, fcg.num_flow_layers(), owned_);
   } else {
     // Dense dispatch: the branch reads every row anyway, so each shard runs
     // the full dense forward once at build time and slices per batch —
     // deterministic, hence bitwise equal across shards and to unsharded.
-    build->ctx.fcg_full =
-        fcg.Forward(autograd::Variable::Constant(node_features_full),
-                    build->ctx.graph)
-            .value();
+    ctx.fcg_full = fcg.Forward(ctx.t_full, ctx.graph).value();
   }
 
-  build->pcg_in_rows = build->ctx.t_rows;
-  build->next_layer = 0;
-  return core::ComputePcgExports(model.pcg_branch()->attention_layer(0),
-                                 build->pcg_in_rows);
+  build->pcg_in_rows = ctx.t_rows;
+  return ExportHeads(model.pcg_branch()->attention_layer(0),
+                     build->pcg_in_rows);
 }
 
-Result<core::PcgHeadExports> ShardEngine::PcgLayer(
-    int slot, uint64_t version, int layer, const core::PcgLayerHalo& halo) {
+Result<PcgHeadExports> ShardEngine::PcgLayer(int slot, uint64_t version,
+                                             int layer,
+                                             const PcgLayerHalo& halo) {
   STGNN_TRACE_SCOPE("Shard.PcgLayer");
   Result<std::shared_ptr<const ModelSnapshot>> snapshot =
       RoundSnapshot(version);
@@ -252,31 +442,36 @@ Result<core::PcgHeadExports> ShardEngine::PcgLayer(
   Result<Building*> found = FindBuild(slot, version);
   if (!found.ok()) return found.status();
   Building* build = *found;
-  if (layer != build->next_layer || layer >= pcg.num_attention_layers()) {
+  const int expected = static_cast<int>(build->ctx.pcg_halo.size());
+  if (layer != expected || layer >= pcg.num_attention_layers()) {
     return Status::InvalidArgument(
         "out-of-order PCG round: shard " + std::to_string(shard_) +
-        " expects layer " + std::to_string(build->next_layer) + ", got " +
+        " expects layer " + std::to_string(expected) + ", got " +
         std::to_string(layer));
   }
 
   const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
-  build->ctx.pcg_halo.push_back(core::WrapHaloVars(halo));
+  const int heads = pcg.attention_layer(layer).num_heads();
+  STGNN_CHECK_EQ(static_cast<int>(halo.d_full.size()), heads);
+  STGNN_CHECK_EQ(static_cast<int>(halo.v_full.size()), heads);
+  PcgLayerHaloVars& vars = build->ctx.pcg_halo.emplace_back();
+  for (int u = 0; u < heads; ++u) {
+    vars.d_full.push_back(Variable::Constant(halo.d_full[u]));
+    vars.v_full.push_back(Variable::Constant(halo.v_full[u]));
+  }
   const int last = pcg.num_attention_layers() - 1;
   if (layer == last) {
     // Context complete: publish for Execute and return empty exports.
     auto ctx = std::make_shared<ShardSlotContext>(std::move(build->ctx));
     builds_.erase({slot, version});
     cache_.Insert(std::move(ctx));
-    return core::PcgHeadExports{};
+    return PcgHeadExports{};
   }
-  build->pcg_in_rows = core::ComputePcgLayerRows(
-      pcg.attention_layer(layer), build->pcg_in_rows, owned_,
-      build->ctx.pcg_halo.back());
-  build->next_layer = layer + 1;
-  return core::ComputePcgExports(pcg.attention_layer(layer + 1),
-                                 build->pcg_in_rows);
+  build->pcg_in_rows = AttendRows(pcg.attention_layer(layer),
+                                  build->pcg_in_rows, owned_, vars);
+  return ExportHeads(pcg.attention_layer(layer + 1), build->pcg_in_rows);
 }
 
 Result<EngineOutput> ShardEngine::Execute(int slot) {
@@ -312,17 +507,23 @@ Result<EngineOutput> ShardEngine::Execute(int slot) {
   ReplayTicket ticket;
   std::lock_guard<std::mutex> lock(exec_mu_);
   Tensor fcg_rows =
-      ctx->sparse_fcg
-          ? core::ComputeFcgRowsSparse(*model.fcg_branch(), ctx->fcg_plan,
-                                       ctx->t_full)
-          : core::GatherRows(ctx->fcg_full, owned_);
+      ctx->fcg_plan.empty()
+          ? GatherRows(ctx->fcg_full, owned_)
+          : ReplayFcgRows(*model.fcg_branch(), ctx->fcg_plan, ctx->t_full);
   Tensor pcg_rows = ctx->t_rows;
   const core::PcgBranch& pcg = *model.pcg_branch();
   for (int l = 0; l < pcg.num_attention_layers(); ++l) {
-    pcg_rows = core::ComputePcgLayerRows(pcg.attention_layer(l), pcg_rows,
-                                         owned_, ctx->pcg_halo[l]);
+    pcg_rows = AttendRows(pcg.attention_layer(l), pcg_rows, owned_,
+                          ctx->pcg_halo[l]);
   }
-  const Tensor out = core::ComputeOutputRows(model, fcg_rows, pcg_rows);
+  // Inference dropout is the identity; the head is Eq. (19)-(20) on the
+  // owned rows, FCG branch first.
+  const Tensor out =
+      model
+          .Head({Variable::Constant(std::move(fcg_rows)),
+                 Variable::Constant(std::move(pcg_rows))},
+                /*training=*/false, nullptr)
+          .value();
   output.rows = tensor::Relu(ctx->snapshot->normalizer.Denormalize(out));
   return output;
 }

@@ -9,9 +9,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/graph_generator.h"
-#include "core/sharded_forward.h"
-#include "core/stgnn_djd.h"
 #include "graph/partition.h"
 #include "serve/engine.h"
 #include "serve/feature_ring.h"
@@ -22,40 +19,9 @@
 
 namespace stgnn::serve {
 
-// One fully-built shard serving context for a (slot, model version): the
-// memoised stages the per-batch owned-row replay needs. Deliberately NOT
-// the final predictions — Execute re-runs the owned-row head (FCG replay,
-// attention layers, fusion head) per batch, so a K-shard fleet really does
-// split the per-batch compute K ways instead of serving a precomputed
-// answer.
-struct ShardSlotContext {
-  int slot = -1;
-  uint64_t model_version = 0;
-  // Pins the weights the context was built against across hot-swaps.
-  std::shared_ptr<const ModelSnapshot> snapshot;
-  // Assembled node features T (full, the FCG replay reads closure rows) and
-  // the shard's own rows (the first attention layer's input). The full
-  // matrix is kept as a constant graph leaf so every per-batch replay
-  // shares it instead of deep-copying [n, f] into a fresh leaf per batch
-  // (constant leaves are never buffer-stolen by the in-place ops).
-  autograd::Variable t_full;  // [n, f] constant leaf
-  tensor::Tensor t_rows;      // [o, f]
-  // The slot's full FCG, derived locally from the assembled embeddings
-  // (deterministic: every shard builds the identical graph).
-  core::FlowConvolutedGraph graph;
-  bool has_graph = false;
-  // FCG replay: either the sparse per-layer plan, or (dense dispatch) the
-  // full branch output computed once at build, sliced per batch.
-  bool sparse_fcg = false;
-  std::vector<core::FcgLayerPlan> fcg_plan;
-  tensor::Tensor fcg_full;  // dense fallback only, [n, f]
-  // Per attention layer, the assembled halo the owned-row replay attends
-  // over — pre-wrapped as constant leaves, shared across replays.
-  std::vector<core::PcgLayerHaloVars> pcg_halo;
-  // Distinct remote in-neighbour stations of this shard's FCG rows — the
-  // rows a row-sliced transport would actually ship.
-  int64_t halo_rows = 0;
-};
+// One fully-built shard serving context for a (slot, model version); see
+// shard_engine.cc.
+struct ShardSlotContext;
 
 // The shard-side engine: serves the prediction rows of its owned stations
 // from a halo-exchanged slot context. Implements both halves of the split —
@@ -104,34 +70,26 @@ class ShardEngine : public InferenceEngine, public ShardChannel {
     return registry_->current_version();
   }
   int NextSlot() const override { return ring_->next_slot(); }
-  bool HasContext(int slot, uint64_t version) override {
-    return cache_.Probe(slot, version);
-  }
-  Result<core::ShardConvRows> ConvRows(int slot, uint64_t version) override;
-  Result<core::ShardFusedRows> FuseRows(
+  bool HasContext(int slot, uint64_t version) override;
+  Result<ShardConvRows> ConvRows(int slot, uint64_t version) override;
+  Result<ShardFusedRows> FuseRows(
       int slot, uint64_t version, const tensor::Tensor& inflow_short_full,
       const tensor::Tensor& outflow_short_full,
       const tensor::Tensor& inflow_long_full,
       const tensor::Tensor& outflow_long_full) override;
-  Result<core::PcgHeadExports> BuildLocal(
+  Result<PcgHeadExports> BuildLocal(
       int slot, uint64_t version, const tensor::Tensor& temporal_inflow_full,
       const tensor::Tensor& temporal_outflow_full,
       const tensor::Tensor& node_features_full) override;
-  Result<core::PcgHeadExports> PcgLayer(int slot, uint64_t version, int layer,
-                                        const core::PcgLayerHalo& halo)
-      override;
+  Result<PcgHeadExports> PcgLayer(int slot, uint64_t version, int layer,
+                                  const PcgLayerHalo& halo) override;
 
   int shard() const { return shard_; }
   const std::vector<int>& owned() const { return owned_; }
 
  private:
-  // A context under construction by the coordinator rounds, plus the
-  // rolling attention input the next round's exports derive from.
-  struct Building {
-    ShardSlotContext ctx;
-    tensor::Tensor pcg_in_rows;
-    int next_layer = 0;
-  };
+  // A context under construction by the coordinator rounds.
+  struct Building;
 
   // Fetches and checks the live snapshot for a round: version must match
   // the registry and the config must be the shardable configuration.

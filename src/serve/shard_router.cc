@@ -4,7 +4,6 @@
 
 #include "common/counters.h"
 #include "common/trace.h"
-#include "core/sharded_forward.h"
 
 namespace stgnn::serve {
 
@@ -46,8 +45,7 @@ ShardFleet::ShardFleet(const graph::Partition& partition, int short_term_slots,
   STGNN_CHECK_EQ(static_cast<int>(partition_.owned.size()),
                  partition_.num_shards);
   shards_.reserve(partition_.num_shards);
-  std::vector<ShardChannel*> channels;
-  channels.reserve(partition_.num_shards);
+  channels_.reserve(partition_.num_shards);
   for (int s = 0; s < partition_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->registry = std::make_unique<ModelRegistry>();
@@ -59,10 +57,9 @@ ShardFleet::ShardFleet(const graph::Partition& partition, int short_term_slots,
         options.cache_capacity);
     shard->service = std::make_unique<PredictionService>(shard->engine.get(),
                                                          options.service);
-    channels.push_back(shard->engine.get());
+    channels_.push_back(shard->engine.get());
     shards_.push_back(std::move(shard));
   }
-  transport_ = std::make_unique<InProcessTransport>(std::move(channels));
 }
 
 ShardFleet::~ShardFleet() { Stop(); }
@@ -130,8 +127,8 @@ Status ShardFleet::EnsureContext(int slot, uint64_t version) {
   // hit/miss, so a swap is observable as one miss per shard, not just on
   // the first shard the coordinator happened to ask.
   bool all = true;
-  for (int s = 0; s < transport_->num_shards(); ++s) {
-    if (!transport_->channel(s)->HasContext(slot, version)) all = false;
+  for (ShardChannel* channel : channels_) {
+    if (!channel->HasContext(slot, version)) all = false;
   }
   if (all) return Status::OK();
 
@@ -162,7 +159,7 @@ Status ShardFleet::EnsureContext(int slot, uint64_t version) {
 }
 
 Status ShardFleet::BuildContexts(int slot, uint64_t version) {
-  const int k = transport_->num_shards();
+  const int k = num_shards();
   const int n = partition_.num_stations;
 
   // Round 1: per-shard conv rows -> assembled full conv matrices.
@@ -171,14 +168,13 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
   Tensor il_full({n, n});
   Tensor ol_full({n, n});
   for (int s = 0; s < k; ++s) {
-    Result<core::ShardConvRows> conv =
-        transport_->channel(s)->ConvRows(slot, version);
+    Result<ShardConvRows> conv = channels_[s]->ConvRows(slot, version);
     if (!conv.ok()) return conv.status();
     const std::vector<int>& owned = partition_.owned[s];
-    core::ScatterRows((*conv).inflow_short, owned, &is_full);
-    core::ScatterRows((*conv).outflow_short, owned, &os_full);
-    core::ScatterRows((*conv).inflow_long, owned, &il_full);
-    core::ScatterRows((*conv).outflow_long, owned, &ol_full);
+    tensor::ScatterRows((*conv).inflow_short, owned, &is_full);
+    tensor::ScatterRows((*conv).outflow_short, owned, &os_full);
+    tensor::ScatterRows((*conv).inflow_long, owned, &il_full);
+    tensor::ScatterRows((*conv).outflow_long, owned, &ol_full);
   }
 
   // Round 2: fused temporal matrices + node features.
@@ -186,7 +182,7 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
   Tensor ohat_full({n, n});
   Tensor t_full;
   for (int s = 0; s < k; ++s) {
-    Result<core::ShardFusedRows> fused = transport_->channel(s)->FuseRows(
+    Result<ShardFusedRows> fused = channels_[s]->FuseRows(
         slot, version, is_full, os_full, il_full, ol_full);
     if (!fused.ok()) return fused.status();
     if (t_full.ndim() == 0) {
@@ -194,15 +190,15 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
       t_full = Tensor({n, (*fused).node_features.dim(1)});
     }
     const std::vector<int>& owned = partition_.owned[s];
-    core::ScatterRows((*fused).temporal_inflow, owned, &ihat_full);
-    core::ScatterRows((*fused).temporal_outflow, owned, &ohat_full);
-    core::ScatterRows((*fused).node_features, owned, &t_full);
+    tensor::ScatterRows((*fused).temporal_inflow, owned, &ihat_full);
+    tensor::ScatterRows((*fused).temporal_outflow, owned, &ohat_full);
+    tensor::ScatterRows((*fused).node_features, owned, &t_full);
   }
 
   // Round 3: local graph + FCG plan; first attention layer's exports.
-  std::vector<core::PcgHeadExports> exports(k);
+  std::vector<PcgHeadExports> exports(k);
   for (int s = 0; s < k; ++s) {
-    Result<core::PcgHeadExports> built = transport_->channel(s)->BuildLocal(
+    Result<PcgHeadExports> built = channels_[s]->BuildLocal(
         slot, version, ihat_full, ohat_full, t_full);
     if (!built.ok()) return built.status();
     exports[s] = std::move(*built);
@@ -212,26 +208,20 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
   // hand it back; shards answer with the next layer's exports (empty after
   // the last layer, which finalises their context).
   for (int layer = 0; !exports[0].d.empty(); ++layer) {
-    const int heads = static_cast<int>(exports[0].d.size());
-    core::PcgLayerHalo halo;
-    halo.d_full.reserve(heads);
-    halo.v_full.reserve(heads);
-    for (int h = 0; h < heads; ++h) {
-      Tensor d_full({1, n});
+    PcgLayerHalo halo;
+    for (size_t h = 0; h < exports[0].d.size(); ++h) {
+      Tensor d_column({n, 1});
       Tensor v_full({n, exports[0].v[h].dim(1)});
       for (int s = 0; s < k; ++s) {
-        const std::vector<int>& owned = partition_.owned[s];
-        for (size_t i = 0; i < owned.size(); ++i) {
-          d_full.at(0, owned[i]) = exports[s].d[h].at(static_cast<int>(i), 0);
-        }
-        core::ScatterRows(exports[s].v[h], owned, &v_full);
+        tensor::ScatterRows(exports[s].d[h], partition_.owned[s], &d_column);
+        tensor::ScatterRows(exports[s].v[h], partition_.owned[s], &v_full);
       }
-      halo.d_full.push_back(std::move(d_full));
+      halo.d_full.push_back(d_column.Transpose());
       halo.v_full.push_back(std::move(v_full));
     }
     for (int s = 0; s < k; ++s) {
-      Result<core::PcgHeadExports> next =
-          transport_->channel(s)->PcgLayer(slot, version, layer, halo);
+      Result<PcgHeadExports> next =
+          channels_[s]->PcgLayer(slot, version, layer, halo);
       if (!next.ok()) return next.status();
       exports[s] = std::move(*next);
     }
@@ -519,8 +509,8 @@ PredictResponse ShardRouter::Serve(const PredictRequest& request) {
       // Global station order: scatter each shard's owned rows home.
       merged = Tensor::Uninitialized({n, cols});
       for (size_t i = 0; i < involved.size(); ++i) {
-        core::ScatterRows(subs[i].predictions,
-                          fleet_->partition().owned[involved[i]], &merged);
+        tensor::ScatterRows(subs[i].predictions,
+                            fleet_->partition().owned[involved[i]], &merged);
       }
     } else {
       std::vector<int> sub_index(num_shards, -1);

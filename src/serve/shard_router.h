@@ -33,8 +33,9 @@ struct ShardFleetOptions {
 // The K-shard serving fleet: per shard, a ModelRegistry + owned-rows
 // FeatureRing + ShardEngine + PredictionService. The fleet is the
 // coordinator side of the halo exchange — EnsureContext drives the build
-// rounds of transport.h against every shard through ShardChannel pointers
-// (in-process today), assembling the full matrices between rounds.
+// rounds of transport.h against every shard through its ShardChannel (the
+// engine itself today; a socket transport would put a client stub there),
+// assembling the full matrices between rounds.
 //
 // Ingest fans the same full [n, n] matrices to every shard ring (each
 // stores only its owned rows, so total fleet ring memory equals one
@@ -92,7 +93,6 @@ class ShardFleet {
   const graph::Partition& partition() const { return partition_; }
   PredictionService* service(int shard) { return shards_[shard]->service.get(); }
   ShardEngine* engine(int shard) { return shards_[shard]->engine.get(); }
-  const ShardTransport& transport() const { return *transport_; }
 
  private:
   struct Shard {
@@ -107,7 +107,7 @@ class ShardFleet {
 
   const graph::Partition partition_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<InProcessTransport> transport_;
+  std::vector<ShardChannel*> channels_;  // one per shard, in shard order
 
   // Held across a Publish's shard swaps.
   mutable std::mutex publish_mu_;

@@ -2,15 +2,45 @@
 #define STGNN_SERVE_TRANSPORT_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/result.h"
-#include "core/sharded_forward.h"
 #include "tensor/tensor.h"
 
 namespace stgnn::serve {
+
+// Round payloads. Each carries one shard's rows of a stage, in the order of
+// the shard's owned station ids; the coordinator scatters them into full
+// matrices.
+
+// Round 1: the four 1x1-conv outputs (Eq. (1)-(4)).
+struct ShardConvRows {
+  tensor::Tensor inflow_short;   // [o, n]
+  tensor::Tensor outflow_short;  // [o, n]
+  tensor::Tensor inflow_long;    // [o, n]
+  tensor::Tensor outflow_long;   // [o, n]
+};
+
+// Round 2: the fused temporal matrices and node features (Eq. (5)-(9)).
+struct ShardFusedRows {
+  tensor::Tensor temporal_inflow;   // Î rows, [o, n]
+  tensor::Tensor temporal_outflow;  // Ô rows, [o, n]
+  tensor::Tensor node_features;     // T rows, [o, n]
+};
+
+// Rounds 3+: per head, the destination scores and values of one attention
+// layer's input rows.
+struct PcgHeadExports {
+  std::vector<tensor::Tensor> d;  // per head, [o, 1]
+  std::vector<tensor::Tensor> v;  // per head, [o, f]
+};
+
+// The same, assembled over every station: what the coordinator hands each
+// shard back as the layer's halo.
+struct PcgLayerHalo {
+  std::vector<tensor::Tensor> d_full;  // per head, [1, n]
+  std::vector<tensor::Tensor> v_full;  // per head, [n, f]
+};
 
 // Wire protocol of the sharded serving fleet: the build-round RPCs the
 // coordinator (ShardFleet::EnsureContext) drives against every shard to
@@ -44,11 +74,11 @@ class ShardChannel {
 
   // Round 1: the shard's rows of the four 1x1-conv outputs, computed from
   // its own ring rows. Starts (or joins) the build for (slot, version).
-  virtual Result<core::ShardConvRows> ConvRows(int slot, uint64_t version) = 0;
+  virtual Result<ShardConvRows> ConvRows(int slot, uint64_t version) = 0;
 
   // Round 2: the shard's rows of the fused temporal matrices and node
   // features, from the assembled full conv matrices.
-  virtual Result<core::ShardFusedRows> FuseRows(
+  virtual Result<ShardFusedRows> FuseRows(
       int slot, uint64_t version, const tensor::Tensor& inflow_short_full,
       const tensor::Tensor& outflow_short_full,
       const tensor::Tensor& inflow_long_full,
@@ -58,7 +88,7 @@ class ShardChannel {
   // assembled embeddings (deterministic — every shard builds the identical
   // graph), prepares its FCG replay plan, and returns its exports for the
   // first attention layer.
-  virtual Result<core::PcgHeadExports> BuildLocal(
+  virtual Result<PcgHeadExports> BuildLocal(
       int slot, uint64_t version, const tensor::Tensor& temporal_inflow_full,
       const tensor::Tensor& temporal_outflow_full,
       const tensor::Tensor& node_features_full) = 0;
@@ -67,33 +97,9 @@ class ShardChannel {
   // building context and returns the shard's exports for layer+1. The last
   // layer finalises the context into the shard's slot cache and returns
   // empty exports.
-  virtual Result<core::PcgHeadExports> PcgLayer(
-      int slot, uint64_t version, int layer,
-      const core::PcgLayerHalo& halo) = 0;
-};
-
-// How the coordinator reaches the shards. The in-process transport below is
-// the only implementation today; a socket transport would hold client stubs
-// instead of engine pointers.
-class ShardTransport {
- public:
-  virtual ~ShardTransport() = default;
-  virtual int num_shards() const = 0;
-  virtual ShardChannel* channel(int shard) const = 0;
-};
-
-class InProcessTransport : public ShardTransport {
- public:
-  explicit InProcessTransport(std::vector<ShardChannel*> channels)
-      : channels_(std::move(channels)) {
-    for (ShardChannel* c : channels_) STGNN_CHECK(c != nullptr);
-  }
-
-  int num_shards() const override { return static_cast<int>(channels_.size()); }
-  ShardChannel* channel(int shard) const override { return channels_[shard]; }
-
- private:
-  const std::vector<ShardChannel*> channels_;
+  virtual Result<PcgHeadExports> PcgLayer(int slot, uint64_t version,
+                                          int layer,
+                                          const PcgLayerHalo& halo) = 0;
 };
 
 }  // namespace stgnn::serve

@@ -996,4 +996,36 @@ Tensor Stack(const std::vector<Tensor>& parts) {
   return out;
 }
 
+Tensor GatherRows(const Tensor& src, const std::vector<int>& rows) {
+  STGNN_CHECK_EQ(src.ndim(), 2);
+  const int cols = src.dim(1);
+  Tensor out = Tensor::Uninitialized({static_cast<int>(rows.size()), cols});
+  const float* sv = src.data().data();
+  float* ov = out.mutable_data().data();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    STGNN_CHECK_GE(rows[r], 0);
+    STGNN_CHECK_LT(rows[r], src.dim(0));
+    std::memcpy(ov + r * cols, sv + static_cast<size_t>(rows[r]) * cols,
+                sizeof(float) * cols);
+  }
+  return out;
+}
+
+void ScatterRows(const Tensor& src_rows, const std::vector<int>& rows,
+                 Tensor* dst) {
+  STGNN_CHECK_EQ(src_rows.ndim(), 2);
+  STGNN_CHECK_EQ(dst->ndim(), 2);
+  STGNN_CHECK_EQ(src_rows.dim(0), static_cast<int>(rows.size()));
+  STGNN_CHECK_EQ(src_rows.dim(1), dst->dim(1));
+  const int cols = dst->dim(1);
+  const float* sv = src_rows.data().data();
+  float* dv = dst->mutable_data().data();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    STGNN_CHECK_GE(rows[r], 0);
+    STGNN_CHECK_LT(rows[r], dst->dim(0));
+    std::memcpy(dv + static_cast<size_t>(rows[r]) * cols, sv + r * cols,
+                sizeof(float) * cols);
+  }
+}
+
 }  // namespace stgnn::tensor

@@ -204,6 +204,14 @@ Tensor Concat(const std::vector<const Tensor*>& parts, int axis);
 // Stacks equal-shape tensors into a new leading axis.
 Tensor Stack(const std::vector<Tensor>& parts);
 
+// Rows `rows` of a 2-D tensor, in that order (plain copies, bit-exact).
+Tensor GatherRows(const Tensor& src, const std::vector<int>& rows);
+
+// Writes row r of `src_rows` to row rows[r] of `*dst`; other rows of `*dst`
+// keep their values.
+void ScatterRows(const Tensor& src_rows, const std::vector<int>& rows,
+                 Tensor* dst);
+
 }  // namespace stgnn::tensor
 
 #endif  // STGNN_TENSOR_TENSOR_H_

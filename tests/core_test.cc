@@ -2,6 +2,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/inference_precision.h"
@@ -18,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "tensor/csr.h"
 
 namespace stgnn::core {
 namespace {
@@ -377,6 +380,175 @@ TEST(AttentionAggregatorTest, QuantizedWeightSetHoldsOnlyRightOperands) {
     return model.Forward(history, /*training=*/false, nullptr).value();
   };
   EXPECT_TRUE(BitEqual(int8_forward(set.get()), int8_forward(wider.get())));
+}
+
+// --- Row-subset steps ---
+//
+// Every layer's forward is a chain of steps over station rows; Forward runs
+// them over all rows and a serving shard over its own. Each step run on a
+// subset of rows must give exactly those rows of the full output.
+
+// The subsets: one row, the last row, a scattered set in no sorted order,
+// and all rows.
+std::vector<std::vector<int>> RowSubsets(int n) {
+  common::Rng rng(41);
+  std::vector<int> scattered = rng.Permutation(n);
+  scattered.resize(n / 4);
+  std::vector<int> all(n);
+  for (int i = 0; i < n; ++i) all[i] = i;
+  return {{0}, {n - 1}, scattered, all};
+}
+
+// The cells of rows `rows` in a stacked [c, n*n] history: [c, |rows|*n].
+Tensor RowCells(const Tensor& stacked, const std::vector<int>& rows, int n) {
+  const int c = stacked.dim(0);
+  const int m = static_cast<int>(rows.size());
+  Tensor out({c, m * n});
+  const float* src = stacked.data().data();
+  float* dst = out.mutable_data().data();
+  for (int k = 0; k < c; ++k) {
+    for (int r = 0; r < m; ++r) {
+      std::memcpy(dst + (static_cast<size_t>(k) * m + r) * n,
+                  src + (static_cast<size_t>(k) * n + rows[r]) * n,
+                  sizeof(float) * n);
+    }
+  }
+  return out;
+}
+
+void ExpectRowsOf(const Variable& got, const Tensor& full,
+                  const std::vector<int>& rows, const char* what) {
+  EXPECT_TRUE(BitEqual(got.value(), tensor::GatherRows(full, rows))) << what;
+}
+
+TEST(RowStepsTest, EveryStepOnARowSubsetIsThoseRowsOfTheFullOutput) {
+  const int n = 37;  // not a multiple of any vector width
+  const std::vector<std::vector<int>> subsets = RowSubsets(n);
+  // (sparse FCG, self term) cases; without the self term the steps get no
+  // self rows, as a serving shard passes none.
+  for (const auto& [sparse, self] :
+       {std::pair{false, true}, std::pair{true, true}, std::pair{false, false},
+        std::pair{true, false}}) {
+    StgnnConfig config = FastConfig();
+    config.sparse_density_threshold = sparse ? 1.0f : 0.0f;
+    config.aggregator_self_term = self;
+    common::Rng rng(17);
+    const StgnnDjdModel model(n, config, &rng);
+    // Flows on ~20% of station pairs, so the FCG is sparse enough to
+    // dispatch to the CSR kernels when allowed.
+    data::StHistory history;
+    Tensor* stacked[] = {&history.inflow_short, &history.outflow_short,
+                         &history.inflow_long, &history.outflow_long};
+    for (int b = 0; b < 4; ++b) {
+      const int c = b < 2 ? config.short_term_slots : config.long_term_days;
+      *stacked[b] = Tensor({c, n * n});
+      for (int cell = 0; cell < n * n; ++cell) {
+        if (!rng.Bernoulli(0.2)) continue;
+        for (int k = 0; k < c; ++k) {
+          stacked[b]->at(k, cell) = static_cast<float>(rng.Uniform(0.1, 1));
+        }
+      }
+    }
+    const auto int8 = model.QuantizeWeights(tensor::Precision::kInt8);
+    for (const autograd::QuantizedWeightSet* weights :
+         {static_cast<const autograd::QuantizedWeightSet*>(nullptr),
+          int8.get()}) {
+      SCOPED_TRACE(std::string(sparse ? "sparse" : "dense") + " FCG, " +
+                   (self ? "" : "no self term, ") + (weights ? "int8" : "fp32"));
+      const autograd::NoTapeScope no_tape;
+      autograd::QuantizedInferenceScope scope(weights);
+
+      // Flow convolution, Eq. (1)-(9).
+      const FlowConvolution& fc = *model.flow_convolution();
+      const FlowConvolution::Output conv = fc.Forward(history);
+      const Variable* weight[] = {&fc.w1(), &fc.w2(), &fc.w3(), &fc.w4()};
+      const Variable* bias[] = {&fc.b1(), &fc.b2(), &fc.b3(), &fc.b4()};
+      std::vector<Variable> branch_full;
+      for (int b = 0; b < 4; ++b) {
+        branch_full.push_back(fc.ConvBranch(*weight[b], *bias[b], *stacked[b]));
+      }
+      // Every FCG and PCG layer's input and output, and the model output.
+      const StgnnDjdModel::Embeddings emb = model.ComputeEmbeddings(history);
+      const FlowConvolutedGraph graph = model.BuildGraph(emb);
+      const FcgBranch& fcg = *model.fcg_branch();
+      ASSERT_EQ(fcg.DispatchesSparse(graph), sparse);
+      const auto pattern = sparse ? graph.edge_csr : nullptr;
+      std::vector<Variable> fcg_io = {Variable::Constant(emb.node_features)};
+      for (int l = 0; l < fcg.num_flow_layers(); ++l) {
+        fcg_io.push_back(
+            fcg.flow_layer(l).Forward(fcg_io.back(), graph.weights, pattern));
+      }
+      const PcgBranch& pcg = *model.pcg_branch();
+      std::vector<Variable> pcg_io = {Variable::Constant(emb.node_features)};
+      for (int l = 0; l < pcg.num_attention_layers(); ++l) {
+        pcg_io.push_back(pcg.attention_layer(l).Forward(pcg_io.back()));
+      }
+      const Tensor prediction = model.Forward(history, false, nullptr).value();
+      ASSERT_TRUE(BitEqual(fcg_io.back().value(),
+                           fcg.Forward(fcg_io[0], graph).value()));
+      ASSERT_TRUE(BitEqual(conv.node_features.value(), emb.node_features));
+
+      for (const std::vector<int>& rows : subsets) {
+        SCOPED_TRACE("rows: " + std::to_string(rows.size()));
+        auto gather = [&](const Variable& full) {
+          return Variable::Constant(tensor::GatherRows(full.value(), rows));
+        };
+        std::vector<Variable> branch_rows;
+        for (int b = 0; b < 4; ++b) {
+          branch_rows.push_back(fc.ConvBranch(
+              *weight[b], gather(*bias[b]), RowCells(*stacked[b], rows, n)));
+          ExpectRowsOf(branch_rows[b], branch_full[b].value(), rows,
+                       "ConvBranch");
+        }
+        const Variable inflow = FlowConvolution::Fuse(
+            gather(fc.w5()), ag::Sub(branch_full[0], branch_full[2]),
+            branch_rows[0], branch_rows[2]);
+        const Variable outflow = FlowConvolution::Fuse(
+            gather(fc.w6()), ag::Sub(branch_full[1], branch_full[3]),
+            branch_rows[1], branch_rows[3]);
+        ExpectRowsOf(inflow, conv.temporal_inflow.value(), rows, "Fuse in");
+        ExpectRowsOf(outflow, conv.temporal_outflow.value(), rows,
+                     "Fuse out");
+        ExpectRowsOf(fc.Project(inflow, outflow), conv.node_features.value(),
+                     rows, "Project");
+
+        for (int l = 0; l < fcg.num_flow_layers(); ++l) {
+          const auto sub_pattern =
+              sparse ? std::make_shared<const tensor::Csr>(
+                           tensor::Csr::FromDense(
+                               tensor::GatherRows(graph.edge_mask, rows)))
+                     : nullptr;
+          ExpectRowsOf(fcg.flow_layer(l).Forward(
+                           fcg_io[l], gather(graph.weights), sub_pattern,
+                           self ? gather(fcg_io[l]) : Variable()),
+                       fcg_io[l + 1].value(), rows, "FlowGnnLayer");
+        }
+
+        for (int l = 0; l < pcg.num_attention_layers(); ++l) {
+          const AttentionGnnLayer& layer = pcg.attention_layer(l);
+          const Variable& in = pcg_io[l];
+          const Variable queries = gather(in);
+          auto head_inputs = [&](int u) {
+            const Variable dest = layer.DestScores(in, u);
+            const Variable values = layer.Values(in, u);
+            ExpectRowsOf(layer.DestScores(queries, u), dest.value(), rows,
+                         "DestScores");
+            ExpectRowsOf(layer.Values(queries, u), values.value(), rows,
+                         "Values");
+            return AttentionGnnLayer::HeadInputs{
+                ag::Transpose(dest), values,
+                self ? gather(values) : Variable()};
+          };
+          ExpectRowsOf(layer.Attend(queries, head_inputs),
+                       pcg_io[l + 1].value(), rows, "Attend");
+        }
+
+        ExpectRowsOf(model.Head({gather(fcg_io.back()), gather(pcg_io.back())},
+                                /*training=*/false, nullptr),
+                     prediction, rows, "Head");
+      }
+    }
+  }
 }
 
 // Clone copies every parameter value bit for bit into storage of its own,

@@ -321,10 +321,9 @@ TEST(SlotCacheServingTest, ConcurrentPushSwapPredictNoTornReads) {
   pusher.join();
   swapper.join();
 
-  // Drain every future BEFORE verifying: DirectPrediction below runs the
-  // same model objects the workers use (Forward caches attention matrices
-  // for inspection), so expectations may only be computed once all batches
-  // have completed — each get() is the synchronisation edge.
+  // Drain every future before verifying, so the service stats below count
+  // every request. Expected() needs no such ordering: a forward writes
+  // nothing to the shared models, so it may run beside the workers'.
   std::vector<PredictResponse> responses;
   responses.reserve(futures.size());
   for (auto& future : futures) responses.push_back(future.get());

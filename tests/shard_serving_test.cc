@@ -355,6 +355,22 @@ TEST(ShardServingTest, SparseFcgReplayParity) {
   }
 }
 
+// Without the aggregators' self term the replay passes the layers no self
+// rows, on the sparse FCG plan and in every attention layer.
+TEST(ShardServingTest, NoSelfTermReplayParity) {
+  core::StgnnConfig config = TestConfig();
+  config.sparse_density_threshold = 1.0f;  // always dispatch sparse
+  config.aggregator_self_term = false;
+  ShardHarness h(/*num_shards=*/2, /*service_workers=*/1, config);
+  h.PublishBoth();
+  h.StartBoth();
+  PredictResponse want = h.reference.Predict({});
+  PredictResponse got = h.router.Predict({});
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  ExpectBitEqual(got.predictions, want.predictions);
+}
+
 // Quantized snapshots shard bitwise too: the int8 dispatch keys on the
 // B-operand parameter identity, which the sharded forward preserves by
 // construction, and activation quantisation is per-row.

@@ -202,8 +202,8 @@ RunResult RunOne(int n, const Options& options) {
   const float input_scale =
       config.input_scale_multiplier / flow.max_train_flow;
 
-  // v1 into the registry; a private clone for the frozen curve (never
-  // shared, so its attention cache is race-free by construction).
+  // v1 into the registry. The predictor's own model draws the frozen
+  // curve.
   serve::ModelRegistry registry;
   {
     serve::ModelSnapshot snapshot(predictor.model()->Clone(), normalizer,
@@ -211,9 +211,6 @@ RunResult RunOne(int n, const Options& options) {
     serve::QuantizeSnapshot(&snapshot, config.infer_precision);
     registry.Publish(std::move(snapshot));
   }
-  const std::unique_ptr<core::StgnnDjdModel> frozen =
-      predictor.model()->Clone();
-
   // Ring warmed with everything up to the stream start.
   serve::FeatureRing ring(n, config.short_term_slots, config.long_term_days,
                           slots_per_day, input_scale);
@@ -243,7 +240,8 @@ RunResult RunOne(int n, const Options& options) {
     const auto live = registry.Current();
     const double online_rmse =
         SlotRmse(*live->model, live->normalizer, history, flow, t);
-    const double frozen_rmse = SlotRmse(*frozen, normalizer, history, flow, t);
+    const double frozen_rmse =
+        SlotRmse(*predictor.model(), normalizer, history, flow, t);
     result.series.slot.push_back(t);
     result.series.online_rmse.push_back(online_rmse);
     result.series.frozen_rmse.push_back(frozen_rmse);
