@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -25,6 +24,18 @@ namespace {
 // dropout streams.
 uint64_t MixSeed(uint64_t seed, int64_t step) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(step + 1));
+}
+
+// Row i's stored entries summed in column order, from +0.0. The entries a
+// cell does not store are +0.0, and x + 0.0f == x for every x this sum can
+// reach (starting from +0.0 it is never -0.0), so this is bitwise the dense
+// row's sum.
+float RowSum(const tensor::Csr& flows, int i) {
+  float sum = 0.0f;
+  for (int e = flows.row_ptr()[i]; e < flows.row_ptr()[i + 1]; ++e) {
+    sum += flows.values()[e];
+  }
+  return sum;
 }
 
 }  // namespace
@@ -118,7 +129,7 @@ Status OnlineTrainer::WarmStart() {
   return Status::OK();
 }
 
-const OnlineTrainer::StoredSlot& OnlineTrainer::StoreAt(int slot) const {
+const serve::SlotFlows& OnlineTrainer::StoreAt(int slot) const {
   const int index = slot - store_first_;
   STGNN_CHECK(index >= 0 && index < static_cast<int>(store_.size()))
       << "slot " << slot << " not in trainer store [" << store_first_ << ", "
@@ -154,8 +165,8 @@ int OnlineTrainer::FetchNewSlots() {
     }
     serve::SlotWindow& slots = *window;
     for (int i = 0; i < slots.count(); ++i) {
-      store_.push_back(StoredSlot{std::move(slots.inflow[i]),
-                                  std::move(slots.outflow[i])});
+      store_.push_back(serve::SlotFlows{std::move(slots.inflow[i]),
+                                        std::move(slots.outflow[i])});
     }
     total += slots.count();
     fetched_through_ = slots.last() + 1;
@@ -169,34 +180,13 @@ int OnlineTrainer::FetchNewSlots() {
 }
 
 data::StHistory OnlineTrainer::AssembleHistory(int t) const {
-  const int k = ring_->short_term_slots();
-  const int d = ring_->long_term_days();
-  const int spd = ring_->slots_per_day();
-  const int row_elems = num_stations_ * num_stations_;
-  const size_t row_bytes = static_cast<size_t>(row_elems) * sizeof(float);
-  data::StHistory history;
-  history.inflow_short = Tensor::Uninitialized({k, row_elems});
-  history.outflow_short = Tensor::Uninitialized({k, row_elems});
-  history.inflow_long = Tensor::Uninitialized({d, row_elems});
-  history.outflow_long = Tensor::Uninitialized({d, row_elems});
-  float* in_short = history.inflow_short.mutable_data().data();
-  float* out_short = history.outflow_short.mutable_data().data();
-  for (int c = 0; c < k; ++c) {
-    const StoredSlot& slot = StoreAt(t - k + c);
-    std::memcpy(in_short + static_cast<size_t>(c) * row_elems,
-                slot.inflow.data().data(), row_bytes);
-    std::memcpy(out_short + static_cast<size_t>(c) * row_elems,
-                slot.outflow.data().data(), row_bytes);
-  }
-  float* in_long = history.inflow_long.mutable_data().data();
-  float* out_long = history.outflow_long.mutable_data().data();
-  for (int c = 0; c < d; ++c) {
-    const StoredSlot& slot = StoreAt(t - (d - c) * spd);
-    std::memcpy(in_long + static_cast<size_t>(c) * row_elems,
-                slot.inflow.data().data(), row_bytes);
-    std::memcpy(out_long + static_cast<size_t>(c) * row_elems,
-                slot.outflow.data().data(), row_bytes);
-  }
+  data::StHistory history = serve::ZeroHistory(
+      ring_->short_term_slots(), ring_->long_term_days(),
+      static_cast<int64_t>(num_stations_) * num_stations_);
+  serve::ScatterHistory(
+      t, ring_->slots_per_day(),
+      [this](int slot) -> const serve::SlotFlows& { return StoreAt(slot); },
+      &history);
   return history;
 }
 
@@ -206,21 +196,13 @@ tensor::Tensor OnlineTrainer::NormalizedTarget(int t) const {
   Tensor target = Tensor::Uninitialized({n, 2 * h});
   float* td = target.mutable_data().data();
   for (int s = 0; s < h; ++s) {
-    const StoredSlot& slot = StoreAt(t + s);
-    const float* in = slot.inflow.data().data();
-    const float* out = slot.outflow.data().data();
+    const serve::SlotFlows& slot = StoreAt(t + s);
     for (int i = 0; i < n; ++i) {
       // Rows are stored pre-scaled; undo the input scale to recover the
       // raw counts the normaliser was fitted on. Demand is the outflow row
       // sum, supply the inflow row sum (paper conventions).
-      float demand = 0.0f;
-      float supply = 0.0f;
-      for (int j = 0; j < n; ++j) {
-        demand += out[static_cast<size_t>(i) * n + j];
-        supply += in[static_cast<size_t>(i) * n + j];
-      }
-      demand /= input_scale_;
-      supply /= input_scale_;
+      const float demand = RowSum(slot.outflow, i) / input_scale_;
+      const float supply = RowSum(slot.inflow, i) / input_scale_;
       td[static_cast<size_t>(i) * 2 * h + s] = normalizer_->Normalize(demand);
       td[static_cast<size_t>(i) * 2 * h + h + s] =
           normalizer_->Normalize(supply);
@@ -434,9 +416,9 @@ TrainerState OnlineTrainer::ExportState() const {
   state.store_first = store_first_;
   state.store_inflow.reserve(store_.size());
   state.store_outflow.reserve(store_.size());
-  for (const StoredSlot& slot : store_) {
-    state.store_inflow.push_back(slot.inflow);
-    state.store_outflow.push_back(slot.outflow);
+  for (const serve::SlotFlows& slot : store_) {
+    state.store_inflow.push_back(slot.inflow.ToDense());
+    state.store_outflow.push_back(slot.outflow.ToDense());
   }
   return state;
 }
@@ -465,6 +447,26 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
   if (state.store_inflow.size() != state.store_outflow.size()) {
     return Status::InvalidArgument("TrainerState store lists disagree");
   }
+  // Rebuild the store's cells before anything is restored, so a refused
+  // state leaves the trainer as it was. The values are already scaled:
+  // x * 1.0f keeps the bits of every count.
+  const tensor::Shape square{num_stations_, num_stations_};
+  std::deque<serve::SlotFlows> store;
+  for (size_t i = 0; i < state.store_inflow.size(); ++i) {
+    if (state.store_inflow[i].shape() != square ||
+        state.store_outflow[i].shape() != square) {
+      return Status::InvalidArgument("TrainerState store slot " +
+                                     std::to_string(i) +
+                                     " is not [n, n] for the ring's n");
+    }
+    Result<tensor::Csr> in = serve::ScaledFlowRows(
+        state.store_inflow[i], 1.0f, {}, "TrainerState store inflow");
+    if (!in.ok()) return in.status();
+    Result<tensor::Csr> out = serve::ScaledFlowRows(
+        state.store_outflow[i], 1.0f, {}, "TrainerState store outflow");
+    if (!out.ok()) return out.status();
+    store.push_back(serve::SlotFlows{std::move(*in), std::move(*out)});
+  }
   STGNN_RETURN_NOT_OK(adam_->ImportState(state.adam));
   for (size_t i = 0; i < shadow_params.size(); ++i) {
     shadow_params[i].SetValue(state.shadow_params[i]);
@@ -476,11 +478,7 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
   baseline_holdout_.clear();
   win_streak_ = state.win_streak;
   last_swap_slot_ = state.last_swap_slot;
-  store_.clear();
-  for (size_t i = 0; i < state.store_inflow.size(); ++i) {
-    store_.push_back(
-        StoredSlot{state.store_inflow[i], state.store_outflow[i]});
-  }
+  store_ = std::move(store);
   store_first_ = state.store_first;
   fetched_through_ = store_first_ + static_cast<int>(store_.size());
   // States are meant to be captured between rounds; the restored trainer

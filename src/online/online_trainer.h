@@ -118,7 +118,10 @@ struct TrainerState {
   int win_streak = 0;
   int last_swap_slot = -1;
   int store_first = 0;
-  std::vector<tensor::Tensor> store_inflow;   // per slot, [n, n] scaled
+  // Per slot, the store's [n, n] pre-scaled flows, densified: the store
+  // itself keeps CSR rows (serve::SlotFlows), and ImportState rebuilds
+  // them from these.
+  std::vector<tensor::Tensor> store_inflow;
   std::vector<tensor::Tensor> store_outflow;
 };
 
@@ -130,9 +133,10 @@ struct TrainerState {
 // its own bounded slot store, fed incrementally through
 // FeatureRing::SnapshotWindow — the ring only retains one history window,
 // so the store is what lets training reach slots the ring has already
-// overwritten. Histories are assembled from the store with the same
-// memcpy-of-prescaled-rows the ring's History() performs, so training
-// inputs are bit-identical to what serving saw.
+// overwritten. The store keeps the ring's cells as they are (CSR rows of
+// the pre-scaled flows), and histories are assembled from it with the
+// ring's own serve::ScatterHistory, so training inputs are bit-identical
+// to what serving saw.
 //
 // Each Poll round: copy out newly ingested slots, take steps_per_round
 // full-batch fused-Adam steps over the train window (the zero-alloc pooled
@@ -190,7 +194,8 @@ class OnlineTrainer {
   void Stop();  // idempotent; joins the thread
 
   // Deep-copies / restores the full mutable state (see TrainerState).
-  // ImportState fails with InvalidArgument on shape/count mismatch.
+  // ImportState fails with InvalidArgument on shape/count mismatch, or on
+  // a store value that is not a flow count (NaN, ±Inf, negative).
   TrainerState ExportState() const;
   Status ImportState(const TrainerState& state);
 
@@ -203,11 +208,6 @@ class OnlineTrainer {
   const OnlineTrainerOptions& options() const { return options_; }
 
  private:
-  struct StoredSlot {
-    tensor::Tensor inflow;   // [n, n], pre-scaled
-    tensor::Tensor outflow;  // [n, n], pre-scaled
-  };
-
   Result<PollResult> PollLocked();
   // Copies newly ingested slots into the store; returns how many.
   int FetchNewSlots();
@@ -231,7 +231,7 @@ class OnlineTrainer {
   // Publishes `model` (an immutable clone of the shadow); returns the
   // version.
   uint64_t PublishCandidate(std::shared_ptr<const core::StgnnDjdModel> model);
-  const StoredSlot& StoreAt(int slot) const;
+  const serve::SlotFlows& StoreAt(int slot) const;
 
   serve::FeatureRing* const ring_;
   const SnapshotChannel channel_;
@@ -255,7 +255,7 @@ class OnlineTrainer {
   int win_streak_ = 0;
   int last_swap_slot_ = -1;
   int last_round_frontier_ = -1;
-  std::deque<StoredSlot> store_;
+  std::deque<serve::SlotFlows> store_;
   int store_first_ = 0;     // slot held by store_.front()
   int fetched_through_ = 0;  // slots [store_first_, fetched_through_) stored
   OnlineTrainerStats stats_;

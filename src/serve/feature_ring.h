@@ -2,12 +2,15 @@
 #define STGNN_SERVE_FEATURE_RING_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "data/window.h"
+#include "tensor/csr.h"
 #include "tensor/tensor.h"
 
 namespace stgnn::serve {
@@ -27,29 +30,64 @@ class RingListener {
   virtual void OnRingAdvance(int frontier, int min_servable_slot) = 0;
 };
 
+// One retained slot's pre-scaled flows as CSR rows. Row r is the ring's
+// r-th stored station row (station owned_rows()[r], or station r when the
+// ring owns all), and an entry is stored iff its float bits are not +0.0,
+// so -0.0 and denormals keep their bits. A slot touches few station pairs
+// (well under 1% at perfbench's n=512), so a cell holds a few thousand
+// entries rather than 2n² floats.
+struct SlotFlows {
+  tensor::Csr inflow;   // [num_owned, n]
+  tensor::Csr outflow;  // [num_owned, n]
+};
+
 // Copy-out of consecutive retained slots, as returned by
-// FeatureRing::SnapshotWindow. Each element holds one slot's stored
-// [num_owned, n] pre-scaled rows — bitwise the floats History() would
-// memcpy for the same slot, copied under the ring mutex so they can never
-// be torn by a concurrent ingest.
+// FeatureRing::SnapshotWindow: each slot's stored cells, copied under the
+// ring mutex so they can never be torn by a concurrent ingest.
 struct SlotWindow {
   int first = 0;  // slot held by inflow[0] / outflow[0]
-  std::vector<tensor::Tensor> inflow;
-  std::vector<tensor::Tensor> outflow;
+  std::vector<tensor::Csr> inflow;
+  std::vector<tensor::Csr> outflow;
 
   int count() const { return static_cast<int>(inflow.size()); }
   int last() const { return first + count() - 1; }
 };
 
+// Stores the [n, n] matrix `flow` times `scale` as CSR: the rows
+// `owned_rows` (ascending; empty = all), each keeping the entries whose
+// scaled bits are not +0.0. Every row is checked, stored or not:
+// InvalidArgument names `name`, the row and the column of the first value
+// that is not a flow count (finite and >= 0; -0.0 is a zero count). The
+// multiply is BuildStHistory's, so the stored values are bitwise its.
+Result<tensor::Csr> ScaledFlowRows(const tensor::Tensor& flow, float scale,
+                                   const std::vector<int>& owned_rows,
+                                   const std::string& name);
+
+// Zeroed history tensors: [k, row_elems] short-term, [d, row_elems]
+// long-term.
+data::StHistory ZeroHistory(int k, int d, int64_t row_elems);
+
+// Assembles the history for predicting slot t into `history` (from
+// ZeroHistory): short-term channel c holds slot t - k + c and long-term
+// channel c slot t - (d - c) * slots_per_day, where `cell(s)` returns slot
+// s's stored flows. Only the stored entries are written; the rest stay
+// +0.0, exactly the entries ScaledFlowRows dropped, so the result is
+// bitwise data::BuildStHistory's on the same flows and scale (restricted
+// to the stored rows). The serving ring and the online trainer's store
+// both assemble through this.
+void ScatterHistory(int t, int slots_per_day,
+                    const std::function<const SlotFlows&(int)>& cell,
+                    data::StHistory* history);
+
 // Rolling window of per-slot flow matrices, sized to exactly the history
 // STGNN-DJD's flow convolution reads: the last k slots plus the same slot
 // of the last d days, i.e. max(k, d * slots_per_day) slots (plus a small
-// slack, see below). Ingest pushes each new slot's I^t/O^t matrix once;
-// History() then assembles a data::StHistory with one row copy per history
-// channel — no dataset re-slicing and no re-scaling, because rows are
-// stored pre-multiplied by `scale` at push time. The values (and their
-// float rounding) are therefore bit-identical to data::BuildStHistory on
-// the same flows with the same scale.
+// slack, see below). Ingest pushes each new slot's I^t/O^t matrix once and
+// the ring keeps it as CSR rows (SlotFlows), pre-multiplied by `scale`;
+// History() then zero-fills a data::StHistory and scatters the stored
+// entries into it — no dataset re-slicing and no re-scaling. The values
+// (and their float rounding) are therefore bit-identical to
+// data::BuildStHistory on the same flows with the same scale.
 //
 // Slack: capacity is window + 2 slots so that (a) predicting slot t stays
 // valid after slot t's own observation arrives (the online setting
@@ -57,25 +95,27 @@ struct SlotWindow {
 // History() call cannot invalidate a just-resolved request.
 //
 // Thread-safe: Push and History may be called concurrently from any
-// threads. Push runs in two phases so the O(n²) scaled row copy happens
+// threads. Push runs in two phases so the O(n²) validating scan happens
 // OUTSIDE the mutex: a short reserve step marks the target cell in-flight,
-// the copy proceeds unlocked, and a short commit step publishes the slot
-// (and notifies the listener). A History() whose window includes the cell
-// being overwritten mid-push — i.e. one that straddles the in-flight
-// invalidation — fails with a typed FailedPrecondition instead of a torn
-// read; after the commit the same request fails typed as "overwritten".
+// the scan builds the new cell in a spare, and a short commit step swaps it
+// in, publishes the slot and notifies the listener. A History() whose
+// window includes the cell being overwritten mid-push — i.e. one that
+// straddles the in-flight invalidation — fails with a typed
+// FailedPrecondition instead of a torn read; after the commit the same
+// request fails typed as "overwritten".
 class FeatureRing {
  public:
   // `scale` is the model's input scale (input_scale_multiplier /
   // max_train_flow); rows are stored pre-scaled.
   //
   // `owned_rows` selects the sharded mode: when non-empty, Push still takes
-  // the full [n, n] matrices (every shard sees the same ingest stream) but
-  // only the listed station rows are stored, and History() returns
-  // [c, o*n] tensors whose r-th row block is station owned_rows[r]. The
-  // per-element scaled copy is unchanged, so the stored values are
-  // bit-identical to the matching rows of an unsharded ring — the fleet's
-  // total ring memory equals one unsharded ring's. Empty = own all rows.
+  // (and checks) the full [n, n] matrices — every shard sees the same
+  // ingest stream — but only the listed station rows are stored, and
+  // History() returns [c, o*n] tensors whose r-th row block is station
+  // owned_rows[r]. The per-element multiply is unchanged, so the stored
+  // values are bit-identical to the matching rows of an unsharded ring —
+  // the fleet's total ring memory equals one unsharded ring's. Empty = own
+  // all rows.
   FeatureRing(int num_stations, int short_term_slots, int long_term_days,
               int slots_per_day, float scale,
               std::vector<int> owned_rows = {});
@@ -98,8 +138,13 @@ class FeatureRing {
   //  - FailedPrecondition: `slot` was already ingested (its rows are live
   //    or already overwritten — re-ingest would rewrite served history), or
   //    another Push is still in flight;
-  //  - InvalidArgument: `slot` is ahead of the frontier (a gap), or the
-  //    matrices have the wrong shape.
+  //  - InvalidArgument: `slot` is ahead of the frontier (a gap), the
+  //    matrices have the wrong shape, or an entry of any row, owned or
+  //    not, is NaN, ±Inf or negative (the message names the matrix, row
+  //    and column; -0.0 is a zero count and is stored bit-exact).
+  // A refused Push stores nothing: next_slot() does not move, the listener
+  // is not called, and the retained slot it would have overwritten stays
+  // intact, so a corrected Push of the same slot then succeeds.
   Status Push(int slot, const tensor::Tensor& inflow,
               const tensor::Tensor& outflow);
 
@@ -129,7 +174,7 @@ class FeatureRing {
   //    observed).
   Result<data::StHistory> History(int t) const;
 
-  // Copies the stored rows of slots [first, last] (inclusive) out of the
+  // Copies the stored cells of slots [first, last] (inclusive) out of the
   // ring — the streaming trainer's bulk export, which must never observe a
   // row mid-overwrite. Typed errors, never aborts:
   //  - InvalidArgument: first < 0 or first > last;
@@ -147,15 +192,13 @@ class FeatureRing {
   void SetListener(RingListener* listener);
 
   // Test-only fault-injection seam: invoked between the ingest reserve and
-  // the row copy, while no lock is held, so a test can deterministically
+  // the scan, while no lock is held, so a test can deterministically
   // interleave a History() call with an in-flight invalidation.
   void SetIngestPauseForTest(std::function<void()> hook);
 
  private:
-  // Row index into the flat storage for a retained slot.
-  size_t CellOffset(int slot) const {
-    return static_cast<size_t>(slot % capacity_) * row_size_;
-  }
+  // The cell holding a retained slot.
+  const SlotFlows& CellAt(int slot) const { return cells_[slot % capacity_]; }
   // min_servable_slot() with mu_ already held.
   int MinServableLocked() const {
     return std::max(window_, next_slot_ - stored_ + window_);
@@ -169,7 +212,7 @@ class FeatureRing {
   const int capacity_;  // window_ + 2
   const float scale_;
   const std::vector<int> owned_;  // empty = all rows
-  const size_t row_size_;         // num_owned() * n
+  const int64_t row_size_;        // num_owned() * n
 
   mutable std::mutex mu_;
   int next_slot_ = 0;  // slots [next_slot_ - stored_, next_slot_) retained
@@ -181,8 +224,7 @@ class FeatureRing {
   int invalidating_slot_ = -1;
   RingListener* listener_ = nullptr;
   std::function<void()> ingest_pause_for_test_;
-  std::vector<float> in_rows_;   // capacity_ rows of n*n pre-scaled floats
-  std::vector<float> out_rows_;
+  std::vector<SlotFlows> cells_;  // capacity_ slots
 };
 
 }  // namespace stgnn::serve

@@ -69,10 +69,10 @@ struct ShardSlotContext {
   // (deterministic: every shard builds the identical graph).
   core::FlowConvolutedGraph graph;
   // FCG replay: the sparse per-layer plan, or, when the slot dispatches
-  // dense (empty plan), the full branch output computed once at build and
-  // sliced per batch.
+  // dense (empty plan), the owned rows of the branch output, computed once
+  // at build as a constant leaf every replay shares.
   std::vector<FcgLayerPlan> fcg_plan;
-  Tensor fcg_full;  // dense dispatch only, [n, f]
+  Variable fcg_rows;  // dense dispatch only, [o, f]
   // Per attention layer, the assembled halo the owned-row replay attends
   // over; a build expects the layer whose index is its size.
   std::vector<PcgLayerHaloVars> pcg_halo;
@@ -153,6 +153,21 @@ struct ReplayTicket {
 // Rows `rows` of `full` as a constant leaf.
 Variable Rows(const Tensor& full, const std::vector<int>& rows) {
   return Variable::Constant(GatherRows(full, rows));
+}
+
+// A round payload arrives from the coordinator (over a socket transport,
+// off the wire). One of the wrong shape fails the round typed instead of
+// aborting the process in a tensor op's CHECK.
+Status CheckPayload(const Tensor& payload, int rows, int cols,
+                    const std::string& what) {
+  if (payload.ndim() == 2 && payload.dim(0) == rows &&
+      payload.dim(1) == cols) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "malformed shard round payload: " + what + " has shape " +
+      tensor::ShapeToString(payload.shape()) + ", expected [" +
+      std::to_string(rows) + ", " + std::to_string(cols) + "]");
 }
 
 std::vector<FcgLayerPlan> BuildFcgPlan(const core::FlowConvolutedGraph& graph,
@@ -356,6 +371,12 @@ Result<ShardFusedRows> ShardEngine::FuseRows(
   Result<std::shared_ptr<const ModelSnapshot>> snapshot =
       RoundSnapshot(version);
   if (!snapshot.ok()) return snapshot.status();
+  const int n = num_stations();
+  STGNN_RETURN_NOT_OK(CheckPayload(inflow_short_full, n, n, "inflow_short"));
+  STGNN_RETURN_NOT_OK(
+      CheckPayload(outflow_short_full, n, n, "outflow_short"));
+  STGNN_RETURN_NOT_OK(CheckPayload(inflow_long_full, n, n, "inflow_long"));
+  STGNN_RETURN_NOT_OK(CheckPayload(outflow_long_full, n, n, "outflow_long"));
 
   std::lock_guard<std::mutex> lock(exec_mu_);
   Result<Building*> build = FindBuild(slot, version);
@@ -389,6 +410,14 @@ Result<PcgHeadExports> ShardEngine::BuildLocal(
       RoundSnapshot(version);
   if (!snapshot.ok()) return snapshot.status();
   const core::StgnnDjdModel& model = *(*snapshot)->model;
+  const int n = num_stations();
+  STGNN_RETURN_NOT_OK(
+      CheckPayload(temporal_inflow_full, n, n, "temporal_inflow"));
+  STGNN_RETURN_NOT_OK(
+      CheckPayload(temporal_outflow_full, n, n, "temporal_outflow"));
+  STGNN_RETURN_NOT_OK(CheckPayload(
+      node_features_full, n,
+      model.pcg_branch()->attention_layer(0).feature_dim(), "node_features"));
 
   std::lock_guard<std::mutex> lock(exec_mu_);
   Result<Building*> found = FindBuild(slot, version);
@@ -419,9 +448,9 @@ Result<PcgHeadExports> ShardEngine::BuildLocal(
     ctx.fcg_plan = BuildFcgPlan(ctx.graph, fcg.num_flow_layers(), owned_);
   } else {
     // Dense dispatch: the branch reads every row anyway, so each shard runs
-    // the full dense forward once at build time and slices per batch —
+    // the full dense forward once at build time and keeps its own rows —
     // deterministic, hence bitwise equal across shards and to unsharded.
-    ctx.fcg_full = fcg.Forward(ctx.t_full, ctx.graph).value();
+    ctx.fcg_rows = Rows(fcg.Forward(ctx.t_full, ctx.graph).value(), owned_);
   }
 
   build->pcg_in_rows = ctx.t_rows;
@@ -450,12 +479,28 @@ Result<PcgHeadExports> ShardEngine::PcgLayer(int slot, uint64_t version,
         std::to_string(layer));
   }
 
+  const core::AttentionGnnLayer& attention = pcg.attention_layer(layer);
+  const int heads = attention.num_heads();
+  if (static_cast<int>(halo.d_full.size()) != heads ||
+      static_cast<int>(halo.v_full.size()) != heads) {
+    return Status::InvalidArgument(
+        "malformed shard round payload: layer " + std::to_string(layer) +
+        " halo has " + std::to_string(halo.d_full.size()) + " score and " +
+        std::to_string(halo.v_full.size()) + " value heads, expected " +
+        std::to_string(heads));
+  }
+  const int n = num_stations();
+  for (int u = 0; u < heads; ++u) {
+    const std::string head = "[" + std::to_string(u) + "]";
+    STGNN_RETURN_NOT_OK(CheckPayload(halo.d_full[u], 1, n, "d_full" + head));
+    STGNN_RETURN_NOT_OK(CheckPayload(halo.v_full[u], n,
+                                     attention.feature_dim(),
+                                     "v_full" + head));
+  }
+
   const autograd::NoTapeScope no_tape;
   autograd::QuantizedInferenceScope quant_scope(
       (*snapshot)->quantized.get());
-  const int heads = pcg.attention_layer(layer).num_heads();
-  STGNN_CHECK_EQ(static_cast<int>(halo.d_full.size()), heads);
-  STGNN_CHECK_EQ(static_cast<int>(halo.v_full.size()), heads);
   PcgLayerHaloVars& vars = build->ctx.pcg_halo.emplace_back();
   for (int u = 0; u < heads; ++u) {
     vars.d_full.push_back(Variable::Constant(halo.d_full[u]));
@@ -506,10 +551,11 @@ Result<EngineOutput> ShardEngine::Execute(int slot) {
   STGNN_TRACE_SCOPE("Shard.Forward");
   ReplayTicket ticket;
   std::lock_guard<std::mutex> lock(exec_mu_);
-  Tensor fcg_rows =
+  const Variable fcg_rows =
       ctx->fcg_plan.empty()
-          ? GatherRows(ctx->fcg_full, owned_)
-          : ReplayFcgRows(*model.fcg_branch(), ctx->fcg_plan, ctx->t_full);
+          ? ctx->fcg_rows
+          : Variable::Constant(ReplayFcgRows(*model.fcg_branch(),
+                                             ctx->fcg_plan, ctx->t_full));
   Tensor pcg_rows = ctx->t_rows;
   const core::PcgBranch& pcg = *model.pcg_branch();
   for (int l = 0; l < pcg.num_attention_layers(); ++l) {
@@ -520,8 +566,7 @@ Result<EngineOutput> ShardEngine::Execute(int slot) {
   // owned rows, FCG branch first.
   const Tensor out =
       model
-          .Head({Variable::Constant(std::move(fcg_rows)),
-                 Variable::Constant(std::move(pcg_rows))},
+          .Head({fcg_rows, Variable::Constant(std::move(pcg_rows))},
                 /*training=*/false, nullptr)
           .value();
   output.rows = tensor::Relu(ctx->snapshot->normalizer.Denormalize(out));

@@ -1,6 +1,7 @@
 #include "tensor/csr.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/counters.h"
 #include "common/thread_pool.h"
@@ -8,6 +9,30 @@
 #include "tensor/kernels/kernels.h"
 
 namespace stgnn::tensor {
+
+Csr::Csr(int rows, int cols, std::vector<int> row_ptr,
+         std::vector<int> col_idx, std::vector<float> values)
+    : rows_(rows),
+      cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  STGNN_CHECK_GE(rows_, 0);
+  STGNN_CHECK_GE(cols_, 0);
+  STGNN_CHECK_EQ(row_ptr_.size(), static_cast<size_t>(rows_) + 1);
+  STGNN_CHECK_EQ(row_ptr_.front(), 0);
+  STGNN_CHECK_EQ(static_cast<size_t>(row_ptr_.back()), col_idx_.size());
+  STGNN_CHECK_EQ(values_.size(), col_idx_.size());
+  for (int i = 0; i < rows_; ++i) {
+    STGNN_CHECK_LE(row_ptr_[i], row_ptr_[i + 1]) << "row " << i;
+    int min_col = 0;
+    for (int e = row_ptr_[i]; e < row_ptr_[i + 1]; ++e) {
+      STGNN_CHECK(col_idx_[e] >= min_col && col_idx_[e] < cols_)
+          << "row " << i << " entry " << e << ": column " << col_idx_[e];
+      min_col = col_idx_[e] + 1;
+    }
+  }
+}
 
 Csr Csr::FromDense(const Tensor& dense, float threshold) {
   STGNN_CHECK_EQ(dense.ndim(), 2);
@@ -41,13 +66,17 @@ float Csr::density() const {
 
 Tensor Csr::ToDense() const {
   Tensor out({rows_, cols_});
-  float* d = out.mutable_data().data();
+  ScatterTo(out.mutable_data().data());
+  return out;
+}
+
+void Csr::ScatterTo(float* dense) const {
   for (int i = 0; i < rows_; ++i) {
+    float* row = dense + static_cast<size_t>(i) * cols_;
     for (int e = row_ptr_[i]; e < row_ptr_[i + 1]; ++e) {
-      d[static_cast<size_t>(i) * cols_ + col_idx_[e]] = values_[e];
+      row[col_idx_[e]] = values_[e];
     }
   }
-  return out;
 }
 
 Csr Csr::WithValues(std::vector<float> values) const {

@@ -23,6 +23,13 @@ class Csr {
  public:
   Csr() = default;
 
+  // Adopts the three arrays of an [rows, cols] matrix. CHECKs the
+  // invariants every kernel relies on: row_ptr holds rows + 1 non-decreasing
+  // offsets from 0 to col_idx.size(), values is as long as col_idx, and
+  // each row's columns are ascending within [0, cols).
+  Csr(int rows, int cols, std::vector<int> row_ptr, std::vector<int> col_idx,
+      std::vector<float> values);
+
   // Builds from a dense 2-D tensor, keeping entries with
   // std::fabs(value) > threshold. threshold = 0 keeps exact nonzeros, so a
   // 0/1 edge mask yields a pattern whose stored values are the mask's 1s.
@@ -42,6 +49,10 @@ class Csr {
   // elsewhere. Round-trips FromDense(t).ToDense() == t for any t whose
   // dropped entries were exact zeros.
   Tensor ToDense() const;
+
+  // Writes the stored values at their positions of the row-major
+  // [rows, cols] buffer `dense`, leaving every other element as it is.
+  void ScatterTo(float* dense) const;
 
   // Same pattern, different values (must have nnz() entries, nnz order).
   Csr WithValues(std::vector<float> values) const;

@@ -1,5 +1,7 @@
-// Serving runtime battery: feature-ring assembly parity and wraparound,
-// typed insufficient-history errors, latency histogram, model registry
+// Serving runtime battery: feature-ring assembly parity and wraparound
+// (sparse cells against the dense offline builder, bit for bit), ingest
+// validation, the online trainer's sparse-store scores, typed
+// insufficient-history errors, latency histogram, model registry
 // hot-swap (including the checkpoint path), micro-batched serving that is
 // bit-identical to a direct StgnnDjdModel::Forward at 1/2/7 workers,
 // hot-swap under load with zero dropped or torn requests, the
@@ -7,11 +9,15 @@
 // requests that arrive during a forward. Runs under TSAN in CI.
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,6 +31,7 @@
 #include "data/window.h"
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
+#include "online/online_trainer.h"
 #include "serve/engine.h"
 #include "serve/feature_ring.h"
 #include "serve/histogram.h"
@@ -237,8 +244,8 @@ TEST(FeatureRingTest, SnapshotWindowCopiesExactScaledRowsOrFailsTyped) {
     Tensor want_out = flow.outflow[slot];
     for (float& v : want_in.mutable_data()) v *= scale;
     for (float& v : want_out.mutable_data()) v *= scale;
-    ExpectBitEqual((*window).inflow[slot - oldest], want_in);
-    ExpectBitEqual((*window).outflow[slot - oldest], want_out);
+    ExpectBitEqual((*window).inflow[slot - oldest].ToDense(), want_in);
+    ExpectBitEqual((*window).outflow[slot - oldest].ToDense(), want_out);
   }
   // A single-slot range works too.
   ASSERT_TRUE(ring.SnapshotWindow(frontier - 1, frontier - 1).ok());
@@ -301,8 +308,8 @@ TEST(FeatureRingTest, SnapshotWindowConcurrentWithIngestStaysConsistent) {
         ASSERT_EQ((*window).count(), 2);
         for (int i = 0; i < 2; ++i) {
           const int slot = (*window).first + i;
-          ExpectBitEqual((*window).inflow[i], flow.inflow[slot]);
-          ExpectBitEqual((*window).outflow[i], flow.outflow[slot]);
+          ExpectBitEqual((*window).inflow[i].ToDense(), flow.inflow[slot]);
+          ExpectBitEqual((*window).outflow[i].ToDense(), flow.outflow[slot]);
         }
       }
     });
@@ -314,6 +321,306 @@ TEST(FeatureRingTest, SnapshotWindowConcurrentWithIngestStaysConsistent) {
   done.store(true);
   for (auto& r : readers) r.join();
   EXPECT_GT(copies.load(), 0);
+}
+
+// Counts frontier advances; the ring calls it under its mutex.
+struct CountingListener : RingListener {
+  void OnRingAdvance(int, int) override { ++advances; }
+  int advances = 0;
+};
+
+// A value that is not a flow count (NaN, ±Inf, negative) in any row, owned
+// or not, refuses the whole slot: nothing is stored, the frontier and the
+// listener do not move, and the retained slot the push would have
+// overwritten stays intact. -0.0 is a zero count, stored with its sign, and
+// a corrected push of the refused slot succeeds.
+TEST(FeatureRingTest, PushRefusesNonCountsAndLeavesTheRingIntact) {
+  const data::FlowDataset flow = MakeFlow();
+  const float scale = 0.5f;
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(), -2.0f,
+                        -std::numeric_limits<float>::denorm_min()};
+  const std::vector<int> owned = {1, 4, 6};
+  for (const std::vector<int>& rows : {std::vector<int>{}, owned}) {
+    SCOPED_TRACE("owned rows " + std::to_string(rows.size()));
+    CountingListener listener;
+    FeatureRing ring(flow.num_stations, 3, 1, flow.slots_per_day, scale,
+                     rows);
+    ring.SetListener(&listener);
+    FillRing(&ring, flow, 20);  // full: retains [12, 20)
+    const int frontier = ring.next_slot();
+    const int oldest = frontier - ring.capacity();
+    const int advances = listener.advances;
+    const SlotWindow before =
+        ring.SnapshotWindow(oldest, frontier - 1).ValueOrDie();
+
+    for (float bad : kBad) {
+      for (const char* matrix : {"inflow", "outflow"}) {
+        for (int row : {1, 2}) {  // station 2 is not owned by the shard
+          Tensor in = flow.inflow[frontier];
+          Tensor out = flow.outflow[frontier];
+          (std::string(matrix) == "inflow" ? in : out).at(row, 5) = bad;
+          const Status refused = ring.Push(frontier, in, out);
+          EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+              << refused.ToString();
+          EXPECT_NE(refused.message().find(std::string(matrix) + "[" +
+                                           std::to_string(row) + ", 5]"),
+                    std::string::npos)
+              << refused.ToString();
+          EXPECT_EQ(ring.next_slot(), frontier);
+          EXPECT_EQ(listener.advances, advances);
+        }
+      }
+    }
+    const SlotWindow after =
+        ring.SnapshotWindow(oldest, frontier - 1).ValueOrDie();
+    for (int i = 0; i < after.count(); ++i) {
+      ExpectBitEqual(after.inflow[i].ToDense(), before.inflow[i].ToDense());
+      ExpectBitEqual(after.outflow[i].ToDense(),
+                     before.outflow[i].ToDense());
+    }
+    EXPECT_TRUE(ring.History(frontier).ok());
+
+    Tensor in = flow.inflow[frontier];
+    in.at(1, 2) = -0.0f;
+    ASSERT_TRUE(ring.Push(frontier, in, flow.outflow[frontier]).ok());
+    EXPECT_EQ(ring.next_slot(), frontier + 1);
+    EXPECT_EQ(listener.advances, advances + 1);
+    const Tensor stored =
+        ring.SnapshotWindow(frontier, frontier).ValueOrDie().inflow[0]
+            .ToDense();
+    const int station_row = rows.empty() ? 1 : 0;  // station 1
+    EXPECT_EQ(stored.at(station_row, 2), 0.0f);
+    EXPECT_TRUE(std::signbit(stored.at(station_row, 2)));
+    ring.SetListener(nullptr);
+  }
+}
+
+// Flows with the bit patterns a sparse cell must keep exact. Rows cycle
+// through all zeros, fully dense, and a sparse mix of +0.0, -0.0 (stored
+// with its sign), the smallest denormal (scaled to +0.0 by 1/3, so not
+// stored), a larger denormal (still denormal after scaling), `big`, and
+// small counts.
+data::FlowDataset MakeEdgeFlow(int n, int slots_per_day, int days,
+                               float big) {
+  data::FlowDataset flow;
+  flow.city_name = "edge-bits";
+  flow.num_stations = n;
+  flow.slots_per_day = slots_per_day;
+  flow.num_slots = slots_per_day * days;
+  common::Rng rng(2024);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  auto value = [&](int style) -> float {
+    if (style == 0) return 0.0f;
+    if (style == 1) return static_cast<float>(rng.UniformInt(4) + 1);
+    switch (rng.UniformInt(10)) {
+      case 5: return -0.0f;
+      case 6: return denorm;
+      case 7: return 1e-40f;
+      case 8: return big;
+      case 9: return static_cast<float>(rng.UniformInt(4) + 1);
+      default: return 0.0f;
+    }
+  };
+  flow.demand = Tensor({flow.num_slots, n});
+  flow.supply = Tensor({flow.num_slots, n});
+  for (int t = 0; t < flow.num_slots; ++t) {
+    Tensor in({n, n});
+    Tensor out({n, n});
+    for (int i = 0; i < n; ++i) {
+      const int style = (i + t) % 4;
+      for (int j = 0; j < n; ++j) {
+        in.at(i, j) = value(style);
+        out.at(i, j) = value(style);
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      float demand = 0.0f;
+      float supply = 0.0f;
+      for (int j = 0; j < n; ++j) {
+        demand += out.at(i, j);
+        supply += in.at(i, j);
+      }
+      flow.demand.at(t, i) = demand;
+      flow.supply.at(t, i) = supply;
+    }
+    flow.inflow.push_back(std::move(in));
+    flow.outflow.push_back(std::move(out));
+  }
+  flow.train_end = slots_per_day * (days - 2);
+  flow.val_end = slots_per_day * (days - 1);
+  flow.max_train_flow = 3.0f;
+  return flow;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        want.data().size() * sizeof(float)),
+            0);
+}
+
+// The [c, o*n] rows of a [c, n*n] history channel that a ring owning
+// stations `owned` holds.
+Tensor OwnedBlocks(const Tensor& channel, const std::vector<int>& owned,
+                   int n) {
+  const int channels = channel.dim(0);
+  std::vector<int> rows;
+  for (int c = 0; c < channels; ++c) {
+    for (int r : owned) rows.push_back(c * n + r);
+  }
+  return tensor::GatherRows(channel.Reshape({channels * n, n}), rows)
+      .Reshape({channels, static_cast<int>(owned.size()) * n});
+}
+
+void ExpectHistorySameBits(const data::StHistory& got,
+                           const data::StHistory& want) {
+  ExpectSameBits(got.inflow_short, want.inflow_short);
+  ExpectSameBits(got.outflow_short, want.outflow_short);
+  ExpectSameBits(got.inflow_long, want.inflow_long);
+  ExpectSameBits(got.outflow_long, want.outflow_long);
+}
+
+// Every assembly from sparse cells is bitwise data::BuildStHistory's: the
+// full ring's History, a scattered-rows ring's History, SnapshotWindow's
+// copied cells, and the shared ScatterHistory the online trainer assembles
+// its store with. n = 37 runs two 16-float scan blocks and a 5-float tail
+// per row; 50 slots wrap the 12-slot ring four times.
+TEST(FeatureRingTest, SparseCellsAssembleBitwiseLikeBuildStHistory) {
+  const int n = 37;
+  const int k = 3;
+  const int d = 2;
+  const int spd = 5;
+  const float scale = 1.0f / 3.0f;
+  const data::FlowDataset flow = MakeEdgeFlow(n, spd, /*days=*/10, 3e38f);
+  const std::vector<int> scattered = {0, 5, 6, 17, 31, 36};
+  FeatureRing full(n, k, d, spd, scale);
+  FeatureRing shard(n, k, d, spd, scale, scattered);
+  ASSERT_EQ(full.capacity(), 12);
+  const int window = full.first_predictable_slot();
+  for (int t = 0; t < flow.num_slots; ++t) {
+    if (t >= window) {
+      const data::StHistory want = data::BuildStHistory(flow, t, k, d, scale);
+      ExpectHistorySameBits(full.History(t).ValueOrDie(), want);
+
+      const data::StHistory rows = shard.History(t).ValueOrDie();
+      ExpectSameBits(rows.inflow_short,
+                     OwnedBlocks(want.inflow_short, scattered, n));
+      ExpectSameBits(rows.outflow_short,
+                     OwnedBlocks(want.outflow_short, scattered, n));
+      ExpectSameBits(rows.inflow_long,
+                     OwnedBlocks(want.inflow_long, scattered, n));
+      ExpectSameBits(rows.outflow_long,
+                     OwnedBlocks(want.outflow_long, scattered, n));
+
+      // The trainer's path: cells copied out, then the shared scatter.
+      const SlotWindow copied =
+          full.SnapshotWindow(t - window, t - 1).ValueOrDie();
+      std::vector<SlotFlows> store;
+      for (int i = 0; i < copied.count(); ++i) {
+        store.push_back({copied.inflow[i], copied.outflow[i]});
+      }
+      data::StHistory assembled = ZeroHistory(k, d, n * n);
+      ScatterHistory(
+          t, spd,
+          [&](int slot) -> const SlotFlows& {
+            return store[slot - copied.first];
+          },
+          &assembled);
+      ExpectHistorySameBits(assembled, want);
+    }
+    ASSERT_TRUE(full.Push(t, flow.inflow[t], flow.outflow[t]).ok());
+    ASSERT_TRUE(shard.Push(t, flow.inflow[t], flow.outflow[t]).ok());
+
+    // The new cells hold exactly the scaled entries whose bits are not
+    // +0.0, and densify to the scaled matrices bit for bit.
+    const SlotWindow cell = full.SnapshotWindow(t, t).ValueOrDie();
+    const SlotWindow cell_rows = shard.SnapshotWindow(t, t).ValueOrDie();
+    for (int m = 0; m < 2; ++m) {
+      const Tensor scaled =
+          tensor::MulScalar(m == 0 ? flow.inflow[t] : flow.outflow[t], scale);
+      const tensor::Csr& stored = m == 0 ? cell.inflow[0] : cell.outflow[0];
+      int64_t kept = 0;
+      for (float v : scaled.data()) kept += std::bit_cast<uint32_t>(v) != 0;
+      EXPECT_EQ(stored.nnz(), kept);
+      ExpectSameBits(stored.ToDense(), scaled);
+      ExpectSameBits(
+          (m == 0 ? cell_rows.inflow[0] : cell_rows.outflow[0]).ToDense(),
+          tensor::GatherRows(scaled, scattered));
+    }
+  }
+}
+
+// The online trainer's holdout scores read its sparse store: each round's
+// live RMSE and MAE must equal a reference built from the dense flows —
+// BuildStHistory for the baseline's predictions, dense row sums of the
+// scaled flows for the targets — accumulated in the gate's order.
+TEST(FeatureRingTest, TrainerScoresItsSparseStoreLikeDenseRows) {
+  const int n = 37;
+  const int spd = 5;
+  const core::StgnnConfig config = TestConfig(/*k=*/3, /*d=*/2);
+  const float scale = 1.0f / 3.0f;
+  const data::FlowDataset flow = MakeEdgeFlow(n, spd, /*days=*/10, 1e4f);
+  const data::MinMaxNormalizer normalizer =
+      data::MinMaxNormalizer::Fit(flow.demand, flow.supply, flow.train_end);
+  const auto model = MakeModel(n, config, 11);
+  ModelRegistry registry;
+  registry.Publish(ModelSnapshot(model, normalizer, scale, config));
+  FeatureRing ring(n, config.short_term_slots, config.long_term_days, spd,
+                   scale);
+  online::OnlineTrainerOptions options;
+  options.steps_per_round = 1;
+  options.train_window = 2;
+  options.holdout_slots = 2;
+  options.learning_rate = 1e-4f;
+  options.improvement_margin = 1e9f;  // never publishes
+  online::OnlineTrainer trainer(
+      &ring, online::SnapshotChannel::ForRegistry(&registry), options);
+  ASSERT_TRUE(trainer.WarmStart().ok());
+
+  int evaluated = 0;
+  for (int t = 0; t < flow.num_slots; ++t) {
+    ASSERT_TRUE(ring.Push(t, flow.inflow[t], flow.outflow[t]).ok());
+    const online::PollResult round = trainer.Poll().ValueOrDie();
+    if (!round.evaluated) continue;
+    ++evaluated;
+    const int t_max = t + 1 - config.horizon;
+    double sum_sq = 0.0;
+    double sum_abs = 0.0;
+    int64_t count = 0;
+    for (int s = t_max - options.holdout_slots + 1; s <= t_max; ++s) {
+      const Tensor prediction =
+          model
+              ->Forward(data::BuildStHistory(flow, s, config.short_term_slots,
+                                             config.long_term_days, scale),
+                        /*training=*/false, nullptr)
+              .value();
+      const Tensor in = tensor::MulScalar(flow.inflow[s], scale);
+      const Tensor out = tensor::MulScalar(flow.outflow[s], scale);
+      Tensor target({n, 2});
+      for (int i = 0; i < n; ++i) {
+        float demand = 0.0f;
+        float supply = 0.0f;
+        for (int j = 0; j < n; ++j) {
+          demand += out.at(i, j);
+          supply += in.at(i, j);
+        }
+        target.at(i, 0) = normalizer.Normalize(demand / scale);
+        target.at(i, 1) = normalizer.Normalize(supply / scale);
+      }
+      for (int64_t i = 0; i < prediction.size(); ++i) {
+        const double err = prediction.flat(i) - target.flat(i);
+        sum_sq += err * err;
+        sum_abs += std::abs(err);
+        ++count;
+      }
+    }
+    ASSERT_TRUE(std::isfinite(sum_sq));
+    EXPECT_EQ(round.live.rmse, std::sqrt(sum_sq / count)) << "frontier " << t;
+    EXPECT_EQ(round.live.mae, sum_abs / count) << "frontier " << t;
+  }
+  EXPECT_GT(evaluated, 20);
 }
 
 // --- LatencyHistogram ------------------------------------------------------

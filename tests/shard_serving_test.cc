@@ -1,14 +1,17 @@
 // Sharded serving battery: cluster-aware partitioning, halo-row counting,
 // sharded-vs-unsharded bitwise parity at 1/2/4 shards across ring
 // wraparounds and worker counts, cluster-local and scattered station-set
-// routing, the sparse-FCG replay path, quantized sharded parity, and
-// hot-swap under load with zero torn (mixed-version) responses. Runs under
-// TSAN in CI.
+// routing, the sparse-FCG replay path, quantized sharded parity,
+// hot-swap under load with zero torn (mixed-version) responses, refused
+// fleet ingest, and typed errors for malformed build-round payloads. Runs
+// under TSAN in CI.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -509,6 +512,111 @@ TEST(ShardServingTest, RetriesWaitOutAnInFlightFleetPublish) {
   EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(h.router.stats().failed, 0);
   EXPECT_EQ(h.fleet.current_version(), static_cast<uint64_t>(kVersions));
+}
+
+// Every shard's ring checks the whole [n, n] slot, owned rows or not, so a
+// NaN in a row only the last shard stores is refused by shard 0 before any
+// shard commits: no shard's frontier moves. The corrected slot then pushes
+// and serves bitwise like the unsharded service.
+TEST(ShardServingTest, RefusedFleetPushMovesNoShard) {
+  ShardHarness h(/*num_shards=*/4, /*service_workers=*/1, TestConfig());
+  h.PublishBoth();
+  h.StartBoth();
+  const int frontier = h.fleet.next_slot();
+  const int station = h.partition.owned[3].back();
+  Tensor bad = h.flow.outflow[frontier];
+  bad.at(station, 0) = std::numeric_limits<float>::quiet_NaN();
+  const Status refused =
+      h.fleet.Push(frontier, h.flow.inflow[frontier], bad);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("outflow[" + std::to_string(station) +
+                                   ", 0]"),
+            std::string::npos)
+      << refused.ToString();
+  for (int s = 0; s < h.fleet.num_shards(); ++s) {
+    EXPECT_EQ(h.fleet.engine(s)->next_slot(), frontier) << "shard " << s;
+  }
+
+  h.PushBoth(frontier);
+  const PredictResponse want = h.reference.Predict({});
+  const PredictResponse got = h.router.Predict({});
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  EXPECT_EQ(got.slot, frontier + 1);
+  ExpectBitEqual(got.predictions, want.predictions);
+}
+
+// A build round whose payload has the wrong shape (a socket transport
+// would read it off the wire) fails typed, and the same build then
+// completes with well-formed payloads: the engine still serves, bitwise
+// like the unsharded service. One shard owns every row, so each round's
+// exports are the next round's full payloads.
+TEST(ShardServingTest, MalformedRoundPayloadsFailTypedAndTheEngineServes) {
+  ShardHarness h(/*num_shards=*/1, /*service_workers=*/1, TestConfig());
+  const uint64_t version = h.PublishBoth();
+  ShardEngine* engine = h.fleet.engine(0);
+  const int slot = h.fleet.next_slot();
+  const int n = h.flow.num_stations;
+  auto expect_malformed = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("malformed shard round payload"),
+              std::string::npos)
+        << status.ToString();
+  };
+
+  const ShardConvRows conv = engine->ConvRows(slot, version).ValueOrDie();
+  expect_malformed(engine
+                       ->FuseRows(slot, version, conv.inflow_short,
+                                  conv.outflow_short, Tensor({n, n - 1}),
+                                  conv.outflow_long)
+                       .status());
+  const ShardFusedRows fused =
+      engine
+          ->FuseRows(slot, version, conv.inflow_short, conv.outflow_short,
+                     conv.inflow_long, conv.outflow_long)
+          .ValueOrDie();
+
+  expect_malformed(engine
+                       ->BuildLocal(slot, version, fused.temporal_inflow,
+                                    fused.temporal_outflow,
+                                    Tensor({n + 1, n}))
+                       .status());
+  PcgHeadExports exports =
+      engine
+          ->BuildLocal(slot, version, fused.temporal_inflow,
+                       fused.temporal_outflow, fused.node_features)
+          .ValueOrDie();
+
+  for (int layer = 0; !exports.d.empty(); ++layer) {
+    PcgLayerHalo halo;
+    for (size_t u = 0; u < exports.d.size(); ++u) {
+      halo.d_full.push_back(exports.d[u].Transpose());
+      halo.v_full.push_back(exports.v[u]);
+    }
+    PcgLayerHalo missing_head = halo;
+    missing_head.v_full.pop_back();
+    expect_malformed(
+        engine->PcgLayer(slot, version, layer, missing_head).status());
+    PcgLayerHalo column_scores = halo;
+    column_scores.d_full[0] = exports.d[0];  // [n, 1], not [1, n]
+    expect_malformed(
+        engine->PcgLayer(slot, version, layer, column_scores).status());
+    PcgLayerHalo narrow_values = halo;
+    narrow_values.v_full[1] = Tensor({n, 1});
+    expect_malformed(
+        engine->PcgLayer(slot, version, layer, narrow_values).status());
+    exports = engine->PcgLayer(slot, version, layer, halo).ValueOrDie();
+  }
+  EXPECT_TRUE(engine->HasContext(slot, version));
+
+  h.StartBoth();
+  const PredictResponse want = h.reference.Predict({});
+  const PredictResponse got = h.router.Predict({});
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  EXPECT_EQ(got.slot, slot);
+  ExpectBitEqual(got.predictions, want.predictions);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // ag::SparseMatMul, the dense/sparse dispatch inside the GNN layers, and
 // the FCG edge-mask semantics that the CSR view is built from.
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -126,6 +127,25 @@ TEST(CsrTest, DegenerateShapes) {
   EXPECT_EQ(none.nnz(), 0);
   EXPECT_EQ(none.density(), 0.0f);
   EXPECT_TRUE(BitIdentical(none.ToDense(), Tensor::Zeros({3, 3})));
+}
+
+// The checked constructor adopts the three arrays as they are (a -0.0
+// value keeps its sign), and ScatterTo writes only the stored positions.
+TEST(CsrTest, ConstructorAdoptsArraysAndScattersStoredEntries) {
+  const Csr a(3, 4, {0, 2, 2, 3}, {1, 3, 0}, {5.0f, -0.0f, 7.0f});
+  EXPECT_EQ(a.rows(), 3);
+  EXPECT_EQ(a.cols(), 4);
+  EXPECT_EQ(a.nnz(), 3);
+  std::vector<float> dense(12, 9.0f);
+  a.ScatterTo(dense.data());
+  const std::vector<float> want = {9, 5, 9, -0.0f, 9, 9, 9, 9, 7, 9, 9, 9};
+  EXPECT_EQ(std::memcmp(dense.data(), want.data(), sizeof(float) * 12), 0);
+  const Tensor densified = a.ToDense();
+  EXPECT_EQ(densified.at(0, 1), 5.0f);
+  EXPECT_TRUE(std::signbit(densified.at(0, 3)));
+  EXPECT_EQ(densified.at(2, 0), 7.0f);
+  EXPECT_EQ(densified.at(1, 2), 0.0f);
+  EXPECT_EQ(Csr(2, 0, {0, 0, 0}, {}, {}).nnz(), 0);
 }
 
 TEST(CsrTest, TransposedMatchesDenseTranspose) {
